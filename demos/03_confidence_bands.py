@@ -10,12 +10,12 @@ The ensemble gives two different 95% bands:
 
 This demo shows both on the same fitted pair of mixtures, and checks the
 determinism contract: the same seed always gives bit-identical results,
-no matter how many threads do the work.
+no matter how many replicates the engine processes per block.
 """
 
 import numpy as np
 
-from mixroc import GmmModel, MgConfig, make_uniform_grid, run_mg
+from mixroc import GmmModel, MgConfig, ensemble, make_uniform_grid, run_mg
 
 f_model = GmmModel([1.0], [0.0], [1.0])
 g_model = GmmModel([0.6, 0.4], [1.0, 3.5], [0.8, 0.6])
@@ -32,10 +32,19 @@ for m in (250, 1000, 4000):
 print("\nthe CI shrinks ~2x from M=1000 to M=4000; the envelope stays put\n")
 
 config = MgConfig(m=500, seed=9, grid=grid, replicate_n_x=80, replicate_n_y=80)
-serial = run_mg(f_model, g_model, config, n_threads=1)
-threaded = run_mg(f_model, g_model, config, n_threads=8)
-identical = np.array_equal(serial.mean_curve.tpr, threaded.mean_curve.tpr) and np.array_equal(
-    serial.auc_samples, threaded.auc_samples
-)
-print(f"1 thread vs 8 threads bit-identical: {identical}")
-print(f"ensemble AUC {serial.auc_mean:.4f} +- {serial.auc_se:.4f} (replicate sd)")
+default = run_mg(f_model, g_model, config)
+# the block size is internal (_BLOCK_SCORES // (n_x + n_y + grid count)
+# replicates per block); it is changed here only to show that it does not
+# affect the result
+default_block = ensemble._BLOCK_SCORES
+identical = True
+try:
+    for rows in (1, 7, config.m):
+        ensemble._BLOCK_SCORES = rows * (80 + 80 + grid.count)
+        blocked = run_mg(f_model, g_model, config)
+        identical &= np.array_equal(default.mean_curve.tpr, blocked.mean_curve.tpr)
+        identical &= np.array_equal(default.auc_samples, blocked.auc_samples)
+finally:
+    ensemble._BLOCK_SCORES = default_block
+print(f"blocks of 1, 7 and M replicates bit-identical: {identical}")
+print(f"ensemble AUC {default.auc_mean:.4f} +- {default.auc_se:.4f} (replicate sd)")

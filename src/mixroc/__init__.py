@@ -20,7 +20,7 @@ from .datasets import (
     make_uniform_grid,
     save_dataset,
 )
-from .ensemble import BandKind, MgConfig, MgEnsembleResult, mg_pipeline, run_mg
+from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline, run_mg
 from .gmm import (
     EmCollapseError,
     EmConfig,
@@ -48,7 +48,6 @@ from .roc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandKind",
     "BinormalParams",
     "DatasetError",
     "EmCollapseError",

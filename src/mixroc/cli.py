@@ -29,7 +29,7 @@ from .datasets import (
     load_two_files,
     make_uniform_grid,
 )
-from .ensemble import BandKind, MgConfig, MgEnsembleResult, mg_pipeline
+from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline
 from .gmm import EmCollapseError, EmConfig
 from .report import Report, compare_table
 from .roc import (
@@ -258,13 +258,7 @@ def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
         )
         band = None
         if mg_result is not None:
-            # plots default to the envelope; a MEAN_CI band kind draws the
-            # (much narrower) confidence band for the mean curve instead
-            if config.mg.band_kind is BandKind.MEAN_CI:
-                lo, hi = mg_result.ci_lower, mg_result.ci_upper
-            else:
-                lo, hi = mg_result.env_lower, mg_result.env_upper
-            band = (mg_result.mean_curve.grid.points, lo, hi)
+            band = (mg_result.mean_curve.grid.points, mg_result.env_lower, mg_result.env_upper)
         curve_specs = []
         for name, curve in curves.items():
             if name == "empirical":

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mixroc import ensemble
 from mixroc.binormal import BinormalParams, binormal_auc, binormal_curve, fit_binormal
 from mixroc.datasets import from_arrays, load_dataset, make_refined_grid, make_uniform_grid
 from mixroc.ensemble import MgConfig, mg_pipeline, run_mg
@@ -278,20 +279,26 @@ def test_property_f_pdf_normalization():
 # 7: Monte Carlo contracts
 # --------------------------------------------------------------------------
 
-def test_mc_determinism_and_ci_shrinkage():
+def test_mc_determinism_and_ci_shrinkage(monkeypatch):
     f = GmmModel([1.0], [0.0], [1.0])
     g = GmmModel([1.0], [1.5], [1.0])
     base = dict(seed=5, grid=GRID, replicate_n_x=100, replicate_n_y=100)
 
-    r1a = run_mg(f, g, MgConfig(m=1000, **base), n_threads=1)
-    r1b = run_mg(f, g, MgConfig(m=1000, **base), n_threads=1)
-    r1t = run_mg(f, g, MgConfig(m=1000, **base), n_threads=4)
+    r1a = run_mg(f, g, MgConfig(m=1000, **base))
+    r1b = run_mg(f, g, MgConfig(m=1000, **base))
+    blocked = []
+    for rows in (1, 7, 1000):
+        # replicates per block = _BLOCK_SCORES // (n_x + n_y + grid count)
+        monkeypatch.setattr(ensemble, "_BLOCK_SCORES", rows * (100 + 100 + GRID.count))
+        blocked.append(run_mg(f, g, MgConfig(m=1000, **base)))
+    monkeypatch.undo()
     identical = all(
         np.array_equal(getattr(r1a, name), getattr(other, name))
-        for other in (r1b, r1t)
-        for name in ("se", "ci_lower", "ci_upper", "env_lower", "env_upper", "auc_samples")
+        for other in (r1b, *blocked)
+        for name in ("se", "ci_lower", "ci_upper", "env_lower", "env_upper", "auc_samples",
+                     "auc_mann_whitney_mean")
     ) and all(
-        np.array_equal(r1a.mean_curve.tpr, other.mean_curve.tpr) for other in (r1b, r1t)
+        np.array_equal(r1a.mean_curve.tpr, other.mean_curve.tpr) for other in (r1b, *blocked)
     )
 
     r4 = run_mg(f, g, MgConfig(m=4000, **base))
@@ -300,7 +307,7 @@ def test_mc_determinism_and_ci_shrinkage():
     announce(
         7,
         ok,
-        f"bit-identical reruns and 1-vs-4-thread runs: {identical}; "
+        f"bit-identical reruns and runs in blocks of 1, 7 and M replicates: {identical}; "
         f"CI width ratio M=1000/M=4000 = {ratio:.3f} in [1.8, 2.2]",
     )
 

@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
-from mixroc.datasets import from_arrays, make_uniform_grid
-from mixroc.distmath import norm_cdf
+from mixroc import ensemble
+from mixroc.datasets import (
+    FprGrid,
+    LabeledDataset,
+    PopulationTag,
+    from_arrays,
+    make_refined_grid,
+    make_uniform_grid,
+)
+from mixroc.distmath import norm_cdf, two_sided_z
 from mixroc.ensemble import MgConfig, mg_pipeline, run_mg
-from mixroc.gmm import EmConfig, GmmModel
+from mixroc.gmm import EmConfig, GmmModel, sample_from
+from mixroc.roc import RocCurveGrid, auc_mann_whitney, auc_trapezoid, empirical_roc
 
 GRID = make_uniform_grid(512)
 F_STD = GmmModel([1.0], [0.0], [1.0])
@@ -79,13 +89,16 @@ class TestRunMg:
         np.testing.assert_array_equal(a.auc_samples, b.auc_samples)
         np.testing.assert_array_equal(a.se, b.se)
 
-    def test_deterministic_across_thread_counts(self):
-        serial = run_mg(F_STD, G_SHIFT3, small_config(), n_threads=1)
-        threaded = run_mg(F_STD, G_SHIFT3, small_config(), n_threads=4)
-        np.testing.assert_array_equal(serial.mean_curve.tpr, threaded.mean_curve.tpr)
-        np.testing.assert_array_equal(serial.auc_samples, threaded.auc_samples)
-        np.testing.assert_array_equal(serial.env_lower, threaded.env_lower)
-        np.testing.assert_array_equal(serial.env_upper, threaded.env_upper)
+    def test_deterministic_across_block_sizes(self, monkeypatch):
+        default = run_mg(F_STD, G_SHIFT3, small_config())
+        for rows in (1, 7, 200):
+            # replicates per block = _BLOCK_SCORES // (n_x + n_y + grid count); 200 is all of M
+            monkeypatch.setattr(ensemble, "_BLOCK_SCORES", rows * (60 + 60 + GRID.count))
+            blocked = run_mg(F_STD, G_SHIFT3, small_config())
+            np.testing.assert_array_equal(default.mean_curve.tpr, blocked.mean_curve.tpr)
+            for name in ("se", "ci_lower", "ci_upper", "env_lower", "env_upper", "auc_samples"):
+                np.testing.assert_array_equal(getattr(default, name), getattr(blocked, name))
+            assert default.auc_mann_whitney_mean == blocked.auc_mann_whitney_mean
 
     def test_mean_is_smoother_than_replicates(self):
         res = run_mg(F_STD, G_SHIFT3, small_config(m=300), keep_replicates=True)
@@ -107,6 +120,118 @@ class TestRunMg:
         r4 = run_mg(F_STD, G_SHIFT3, MgConfig(m=4000, **base))
         ratio = np.mean(r1.ci_upper - r1.ci_lower) / np.mean(r4.ci_upper - r4.ci_lower)
         assert 1.8 <= ratio <= 2.2
+
+
+def tied_rows(rows, n_x, n_y, seed):
+    """Integer scores: heavy ties inside each row and across the two populations."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.integers(0, 6, (rows, n_x)), axis=1).astype(float)
+    y = np.sort(rng.integers(2, 8, (rows, n_y)), axis=1).astype(float)
+    return x, y
+
+
+def normal_rows(rows, n_x, n_y, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.normal(0.0, 1.0, (rows, n_x)), axis=1)
+    y = np.sort(rng.normal(1.0, 1.5, (rows, n_y)), axis=1)
+    return x, y
+
+
+ROW_INPUTS = {
+    "ties": tied_rows(9, 40, 40, 0),
+    "ties-unequal": tied_rows(9, 51, 90, 1),
+    "unequal": normal_rows(9, 51, 90, 2),
+    "tiny": normal_rows(9, 2, 3, 3),
+}
+ROW_GRIDS = {
+    "uniform": GRID,
+    "no-endpoints": FprGrid(np.linspace(0.013, 0.97, 77)),
+    "refined": make_refined_grid(),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(ROW_GRIDS))
+@pytest.mark.parametrize("data_name", sorted(ROW_INPUTS))
+class TestRowKernels:
+    """Each block kernel equals its per-row reference bit for bit."""
+
+    def test_quantiles(self, data_name, grid_name):
+        x, _ = ROW_INPUTS[data_name]
+        q = 1.0 - ROW_GRIDS[grid_name].points
+        got = ensemble._row_quantiles(x, ensemble._quantile_plan(x.shape[1], q))
+        want = [np.quantile(row, q, method="interpolated_inverted_cdf") for row in x]
+        np.testing.assert_array_equal(got, want)
+
+    def test_counts(self, data_name, grid_name):
+        x, y = ROW_INPUTS[data_name]
+        q = 1.0 - ROW_GRIDS[grid_name].points
+        c = np.array([np.quantile(row, q, method="interpolated_inverted_cdf") for row in x])
+        got = ensemble._count_le(y, c)
+        want = [np.searchsorted(yr, cr, side="right") for yr, cr in zip(y, c)]
+        np.testing.assert_array_equal(got, want)
+        # thresholds that are scores themselves tie exactly
+        np.testing.assert_array_equal(
+            ensemble._count_le(y, x), [np.searchsorted(yr, xr, side="right") for yr, xr in zip(y, x)]
+        )
+
+    def test_curves_and_aucs(self, data_name, grid_name):
+        x, y = ROW_INPUTS[data_name]
+        grid = ROW_GRIDS[grid_name]
+        t = grid.points
+        c = ensemble._row_quantiles(x, ensemble._quantile_plan(x.shape[1], 1.0 - t))
+        tpr = ensemble._tpr_rows(y, c, t)
+        curves = [empirical_roc(from_arrays(xr, yr), grid) for xr, yr in zip(x, y)]
+        np.testing.assert_array_equal(tpr, [curve.tpr for curve in curves])
+        np.testing.assert_array_equal(
+            ensemble._trapezoid_rows(tpr, t), [auc_trapezoid(curve) for curve in curves]
+        )
+
+    def test_mann_whitney(self, data_name, grid_name):
+        x, y = ROW_INPUTS[data_name]
+        n, m = x.shape[1], y.shape[1]
+        want = [
+            (np.sum(rankdata(np.concatenate([xr, yr]))[n:]) - m * (m + 1) / 2.0) / (n * m)
+            for xr, yr in zip(x, y)
+        ]
+        np.testing.assert_array_equal(ensemble._mann_whitney_rows(x, y), want)
+
+
+def test_run_mg_matches_per_replicate_loop():
+    """run_mg against the per-replicate loop it replaced, kept here frozen."""
+    f = GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
+    g = GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])
+    grid = ROW_GRIDS["no-endpoints"]
+    config = MgConfig(m=37, seed=21, grid=grid, replicate_n_x=51, replicate_n_y=90, alpha=0.1)
+
+    curves = np.empty((config.m, grid.count))
+    aucs = np.empty(config.m)
+    mws = np.empty(config.m)
+    for l, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.m)):
+        rng = np.random.default_rng(child)
+        xs = sample_from(f, config.replicate_n_x, rng, PopulationTag.NON_DISEASED)
+        ys = sample_from(g, config.replicate_n_y, rng, PopulationTag.DISEASED)
+        study = LabeledDataset(xs, ys)
+        curve = empirical_roc(study, grid, label="replicate")
+        curves[l] = curve.tpr
+        aucs[l] = auc_trapezoid(curve)
+        mws[l] = auc_mann_whitney(study)
+    mean_tpr = curves.mean(axis=0)
+    se = curves.std(axis=0, ddof=1)
+    half = two_sided_z(config.alpha) * se / np.sqrt(config.m)
+    env_lower, env_upper = np.quantile(curves, [config.alpha / 2.0, 1.0 - config.alpha / 2.0], axis=0)
+
+    res = run_mg(f, g, config, keep_replicates=True)
+    np.testing.assert_array_equal(res.replicate_matrix, curves)
+    np.testing.assert_array_equal(res.auc_samples, aucs)
+    assert res.auc_mann_whitney_mean == float(np.mean(mws))
+    np.testing.assert_array_equal(res.mean_curve.tpr, mean_tpr)
+    np.testing.assert_array_equal(res.se, se)
+    np.testing.assert_array_equal(res.ci_lower, np.clip(mean_tpr - half, 0.0, 1.0))
+    np.testing.assert_array_equal(res.ci_upper, np.clip(mean_tpr + half, 0.0, 1.0))
+    np.testing.assert_array_equal(res.env_lower, np.clip(np.minimum(env_lower, mean_tpr), 0.0, 1.0))
+    np.testing.assert_array_equal(res.env_upper, np.clip(np.maximum(env_upper, mean_tpr), 0.0, 1.0))
+    assert res.auc_mean == auc_trapezoid(RocCurveGrid(grid, mean_tpr))
+    assert res.auc_se == float(np.std(aucs, ddof=1))
 
 
 class TestPipeline:

@@ -1,12 +1,14 @@
 """Report assembly, serialization, comparison table and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mixroc
 from mixroc.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, RunConfig, main, run
 from mixroc.ensemble import MgConfig
 from mixroc.gmm import EmConfig
@@ -152,10 +154,14 @@ class TestCompareTable:
 
 class TestCliProcess:
     def cli(self, *args):
+        # the child imports the same mixroc as this process, installed or not
+        package_root = str(Path(mixroc.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "mixroc.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_missing_input_no_partial_outputs(self, tmp_path):
