@@ -32,6 +32,11 @@ def norm_sf(z):
     return 0.5 * special.erfc(z / np.sqrt(2.0))
 
 
+def norm_logcdf(z):
+    """log Phi(z), elementwise, with full relative accuracy in both tails."""
+    return special.log_ndtr(np.asarray(z, dtype=float))
+
+
 def norm_ppf(p):
     """Standard normal quantile Phi^{-1}(p), elementwise, p in (0, 1)."""
     return special.ndtri(np.asarray(p, dtype=float))

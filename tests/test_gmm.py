@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
-from mixroc.datasets import PopulationTag, ScoreSample
+from mixroc import gmm
+from mixroc.datasets import PopulationTag, ScoreSample, make_refined_grid
 from mixroc.gmm import (
     EmConfig,
     GmmModel,
@@ -193,6 +195,68 @@ class TestSurvivalInverse:
     def test_domain(self, t):
         with pytest.raises(ValueError):
             survival_inverse(GmmModel([1.0], [0.0], [1.0]), t)
+
+    def test_relative_round_trip_in_both_tails(self):
+        rng = np.random.default_rng(99)
+        lower = np.geomspace(1e-12, 0.5, 200)
+        upper = 1.0 - lower
+        for _ in range(50):
+            model = random_mixture(rng)
+            c = survival_inverse(model, lower)
+            assert np.max(np.abs(survival(model, c) - lower) / lower) <= 1e-9
+            # the CDF directly: 1 - survival cannot resolve 1 - t near t = 1
+            c = survival_inverse(model, upper)
+            cdf = ndtr((c[:, None] - model.means) / model.sigmas) @ model.weights
+            assert np.max(np.abs(cdf - (1.0 - upper)) / (1.0 - upper)) <= 1e-9
+
+    @pytest.mark.parametrize("model", [
+        # a spike of variance 1e-6 beside components with means 6e3 apart
+        GmmModel([0.3, 0.2, 0.2, 0.2, 0.1], [-3e3, -1.0, 0.0, 2e2, 3e3],
+                 [1e-6, 1.0, 4.0, 1e2, 1e4]),
+        # the CA 125 control fit of select_k, whose last component sits on
+        # the variance floor 1e-6 * range^2 over one observation
+        GmmModel([0.7257448368421282, 0.2154318288889437, 0.0392154911316733, 0.0196078431372549],
+                 [10.320299163294631, 31.547749903454793, 102.55003137133548, 179.0],
+                 [10.123143936706988, 160.34901898868912, 40.322499999967775, 0.030102249999999997]),
+    ], ids=["spike-wide-spread", "ca125-controls"])
+    def test_hostile_models(self, model, monkeypatch):
+        calls = []
+        log_tail = gmm._log_tail
+        monkeypatch.setattr(gmm, "_log_tail", lambda *a: calls.append(1) or log_tail(*a))
+        edge = np.geomspace(1e-12, 0.5, 200)
+        t = np.unique(np.concatenate([make_refined_grid().points[1:-1], edge, 1.0 - edge]))
+        c = survival_inverse(model, t)
+        assert np.all(np.isfinite(c))
+        assert np.all(np.diff(c) <= 0.0)
+        spread = model.sigmas * ndtri(t)[:, None]
+        slack = 8.0 * np.finfo(float).eps * np.max(np.abs(model.means) + np.abs(spread), axis=1)
+        c_k = model.means - spread
+        assert np.all(c >= c_k.min(axis=1) - slack)
+        assert np.all(c <= c_k.max(axis=1) + slack)
+        # two bracket-end evaluations, then fewer steps than the cap
+        assert len(calls) < gmm._SOLVER_STEPS + 2
+
+    def test_array_keeps_shape(self):
+        model = GmmModel([0.6, 0.4], [-2.0, 3.0], [1.5, 0.3])
+        t = np.array([[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]])
+        c = survival_inverse(model, t)
+        assert isinstance(c, np.ndarray) and c.shape == t.shape
+        for ti, ci in zip(t.ravel(), c.ravel()):
+            assert ci == survival_inverse(model, float(ti))
+
+    def test_scalar_gives_float(self):
+        assert type(survival_inverse(GmmModel([1.0], [0.0], [1.0]), 0.3)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, np.nan])
+    def test_array_domain(self, bad):
+        with pytest.raises(ValueError):
+            survival_inverse(GmmModel([1.0], [0.0], [1.0]), np.array([0.2, bad, 0.6]))
+
+    def test_strictly_decreasing_on_sorted_grid(self):
+        rng = np.random.default_rng(43)
+        t = make_refined_grid().points[1:-1]
+        for _ in range(5):
+            assert np.all(np.diff(survival_inverse(random_mixture(rng), t)) < 0.0)
 
 
 class TestSampleFrom:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mixroc.datasets import FprGrid, from_arrays, make_uniform_grid
+from mixroc.datasets import FprGrid, from_arrays, make_refined_grid, make_uniform_grid
 from mixroc.distmath import norm_cdf
 from mixroc.gmm import GmmModel
 from mixroc.roc import (
@@ -164,6 +164,20 @@ class TestFunctionalRoc:
         assert auc_trapezoid(curve) == pytest.approx(
             float(norm_cdf(3 / np.sqrt(2))), abs=5e-4
         )
+
+    @pytest.mark.parametrize("mu_d, sigma_d", [(1.5, 1.0), (3.0, 0.5), (0.5, 2.0)])
+    def test_matches_binormal_relative_on_refined_grid(self, mu_d, sigma_d):
+        from mixroc.binormal import BinormalParams, binormal_curve
+
+        grid = make_refined_grid()
+        f = GmmModel([1.0], [0.0], [1.0])
+        g = GmmModel([1.0], [mu_d], [sigma_d**2])
+        params = BinormalParams(a=mu_d / sigma_d, b=1.0 / sigma_d, mu_n=0.0, sigma_n=1.0,
+                                mu_d=mu_d, sigma_d=sigma_d)
+        curve = functional_roc(f, g, grid)
+        reference = binormal_curve(params, grid)
+        assert grid.points[1] == 1e-10 and grid.points[-2] == 1.0 - 1e-10
+        np.testing.assert_allclose(curve.tpr[1:-1], reference.tpr[1:-1], rtol=1e-9, atol=0.0)
 
     def test_endpoints_fixed(self):
         f = GmmModel([1.0], [0.0], [1.0])
