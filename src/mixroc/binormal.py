@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .datasets import FprGrid, LabeledDataset
-from .distmath import norm_cdf, norm_ppf
 from .roc import RocCurveGrid
 
 
@@ -71,7 +71,7 @@ def binormal_curve(params: BinormalParams, grid: FprGrid, label: str = "binormal
     t = grid.points
     r = np.empty_like(t)
     interior = (t > 0.0) & (t < 1.0)
-    r[interior] = norm_cdf(params.a + params.b * norm_ppf(t[interior]))
+    r[interior] = ndtr(params.a + params.b * ndtri(t[interior]))
     r[t <= 0.0] = 0.0
     r[t >= 1.0] = 1.0
     return RocCurveGrid(grid, r, label)
@@ -79,4 +79,4 @@ def binormal_curve(params: BinormalParams, grid: FprGrid, label: str = "binormal
 
 def binormal_auc(params: BinormalParams) -> float:
     """Closed-form area Phi(a / sqrt(1 + b^2))."""
-    return float(norm_cdf(params.a / np.sqrt(1.0 + params.b * params.b)))
+    return float(ndtr(params.a / np.sqrt(1.0 + params.b * params.b)))

@@ -96,10 +96,6 @@ def _load(config: RunConfig) -> LabeledDataset:
     )
 
 
-def _curve_rows(curve: RocCurveGrid):
-    return zip(curve.grid.points, curve.tpr)
-
-
 def run(config: RunConfig) -> Report:
     """Execute one analysis run and write its outputs.
 
@@ -196,6 +192,18 @@ def run(config: RunConfig) -> Report:
     return report
 
 
+def _repr_rows(rows):
+    """Rows of numbers as the exact (repr) text of each value."""
+    return ([repr(float(v)) for v in row] for row in rows)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,39 +211,35 @@ def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
     if config.report_format == "json":
         (out / "report.json").write_text(report.to_json() + "\n")
     elif config.report_format == "csv":
-        with (out / "report.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["estimator", "auc_trapezoidal", "auc_mann_whitney"])
-            for name, entry in report.estimators.items():
-                writer.writerow(
-                    [name, entry.get("auc_trapezoidal"), entry.get("auc_mann_whitney")]
-                )
+        _write_csv(
+            out / "report.csv",
+            ["estimator", "auc_trapezoidal", "auc_mann_whitney"],
+            [
+                [name, entry.get("auc_trapezoidal"), entry.get("auc_mann_whitney")]
+                for name, entry in report.estimators.items()
+            ],
+        )
     else:
         (out / "report.txt").write_text(compare_table([report], fmt="text"))
 
     for name, curve in curves.items():
-        with (out / f"curve_{name}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "tpr"])
-            for t, r in _curve_rows(curve):
-                writer.writerow([repr(float(t)), repr(float(r))])
+        rows = _repr_rows(zip(curve.grid.points, curve.tpr))
+        _write_csv(out / f"curve_{name}.csv", ["t", "tpr"], rows)
 
     if mg_result is not None:
-        with (out / "mg_bands.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "mean", "se", "ci_lower", "ci_upper", "env_lower", "env_upper"])
-            for i, t in enumerate(mg_result.mean_curve.grid.points):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        repr(float(mg_result.mean_curve.tpr[i])),
-                        repr(float(mg_result.se[i])),
-                        repr(float(mg_result.ci_lower[i])),
-                        repr(float(mg_result.ci_upper[i])),
-                        repr(float(mg_result.env_lower[i])),
-                        repr(float(mg_result.env_upper[i])),
-                    ]
-                )
+        _write_csv(
+            out / "mg_bands.csv",
+            ["t", "mean", "se", "ci_lower", "ci_upper", "env_lower", "env_upper"],
+            _repr_rows(zip(
+                mg_result.mean_curve.grid.points,
+                mg_result.mean_curve.tpr,
+                mg_result.se,
+                mg_result.ci_lower,
+                mg_result.ci_upper,
+                mg_result.env_lower,
+                mg_result.env_upper,
+            )),
+        )
 
     if models is not None:
         f_model, g_model = models
@@ -243,11 +247,11 @@ def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
         (out / "model_diseased.json").write_text(g_model.to_json() + "\n")
 
     if config.dump_replicates and mg_result is not None and mg_result.replicate_matrix is not None:
-        with (out / "replicates.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([repr(float(t)) for t in mg_result.mean_curve.grid.points])
-            for row in mg_result.replicate_matrix:
-                writer.writerow([repr(float(v)) for v in row])
+        _write_csv(
+            out / "replicates.csv",
+            [repr(float(t)) for t in mg_result.mean_curve.grid.points],
+            _repr_rows(mg_result.replicate_matrix),
+        )
 
     if config.plots:
         (out / "histogram_non_diseased.svg").write_text(

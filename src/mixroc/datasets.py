@@ -63,10 +63,6 @@ class ScoreSample:
     def __len__(self) -> int:
         return int(self.scores.size)
 
-    @property
-    def n(self) -> int:
-        return len(self)
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -118,6 +114,8 @@ class FprGrid:
 
 
 DEFAULT_GRID_SIZE = 512
+# smallest FPR of make_refined_grid's geometric ladder, and 1 - it the largest
+_REFINED_EDGE = 1e-10
 
 
 def make_uniform_grid(count: int = DEFAULT_GRID_SIZE) -> FprGrid:
@@ -127,7 +125,7 @@ def make_uniform_grid(count: int = DEFAULT_GRID_SIZE) -> FprGrid:
     return FprGrid(np.linspace(0.0, 1.0, count))
 
 
-def make_refined_grid(count: int = 4096, edge_points: int = 256, edge_min: float = 1e-10) -> FprGrid:
+def make_refined_grid(count: int = 4096, edge_points: int = 256) -> FprGrid:
     """Uniform grid with geometric refinement toward both endpoints.
 
     Curves like Phi(a + b Phi^{-1}(t)) are extremely steep next to t=0 and
@@ -141,7 +139,7 @@ def make_refined_grid(count: int = 4096, edge_points: int = 256, edge_min: float
     if core_count < 2:
         raise ValueError("count too small for the requested edge refinement")
     core = np.linspace(0.0, 1.0, core_count)
-    ladder = np.geomspace(edge_min, core[1], edge_points + 1)[:-1]
+    ladder = np.geomspace(_REFINED_EDGE, core[1], edge_points + 1)[:-1]
     points = np.unique(np.concatenate([core, ladder, 1.0 - ladder]))
     return FprGrid(points)
 
@@ -152,6 +150,17 @@ def from_arrays(non_diseased, diseased, source_name: str = "") -> LabeledDataset
         non_diseased=ScoreSample(non_diseased, PopulationTag.NON_DISEASED, source_name),
         diseased=ScoreSample(diseased, PopulationTag.DISEASED, source_name),
     )
+
+
+def _parse_score(text: str, path: Path, line: int) -> float:
+    """The finite score written as `text` on `line` of `path`."""
+    try:
+        score = float(text)
+    except ValueError:
+        raise DatasetError(f"{path}:{line}: non-numeric score {text!r}") from None
+    if not np.isfinite(score):
+        raise DatasetError(f"{path}:{line}: non-finite score {text!r}")
+    return score
 
 
 def load_dataset(
@@ -186,14 +195,8 @@ def load_dataset(
                     f"{path}: missing column {col!r} (found {reader.fieldnames})"
                 )
         for i, row in enumerate(reader, start=2):
-            raw_score = (row[score_col] or "").strip()
+            score = _parse_score((row[score_col] or "").strip(), path, i)
             raw_label = (row[label_col] or "").strip()
-            try:
-                score = float(raw_score)
-            except ValueError:
-                raise DatasetError(f"{path}:{i}: non-numeric score {raw_score!r}") from None
-            if not np.isfinite(score):
-                raise DatasetError(f"{path}:{i}: non-finite score {raw_score!r}")
             if raw_label == non_diseased_label:
                 xs.append(score)
             elif raw_label == diseased_label:
@@ -218,19 +221,8 @@ def load_two_files(non_diseased_path, diseased_path, source_name: str | None = N
             text = path.read_text()
         except OSError as exc:
             raise DatasetError(f"cannot read {path}: {exc}") from None
-        vals = []
-        for i, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise DatasetError(f"{path}:{i}: non-numeric score {line!r}") from None
-            if not np.isfinite(v):
-                raise DatasetError(f"{path}:{i}: non-finite score {line!r}")
-            vals.append(v)
-        return vals
+        lines = enumerate(map(str.strip, text.splitlines()), start=1)
+        return [_parse_score(line, path, i) for i, line in lines if line]
 
     name = source_name if source_name is not None else Path(non_diseased_path).stem
     return from_arrays(read_scores(non_diseased_path), read_scores(diseased_path), name)

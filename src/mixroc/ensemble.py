@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.special import ndtri
 
 from .datasets import FprGrid, LabeledDataset, PopulationTag, make_uniform_grid
-from .distmath import two_sided_z
 from .gmm import EmConfig, GmmModel, sample_from, select_k
 
 # empirical_roc and auc_mann_whitney are the single-study forms of the block
@@ -220,7 +220,7 @@ def run_mg(
 
     mean_tpr = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1)
-    z = two_sided_z(config.alpha)
+    z = ndtri(1.0 - config.alpha / 2.0)
     half = z * se / np.sqrt(m)
     ci_lower = np.clip(mean_tpr - half, 0.0, 1.0)
     ci_upper = np.clip(mean_tpr + half, 0.0, 1.0)

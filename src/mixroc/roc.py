@@ -49,10 +49,6 @@ class RocCurveGrid:
         r.flags.writeable = False
         object.__setattr__(self, "tpr", r)
 
-    @property
-    def fpr(self) -> NDArray[np.float64]:
-        return self.grid.points
-
 
 def empirical_roc(
     dataset: LabeledDataset,

@@ -1,5 +1,6 @@
 """Dataset ingestion, validation and grid construction."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,20 @@ class TestTwoFileMode:
         d.write_text("1.0\n2.0\n")
         with pytest.raises(DatasetError, match="non-numeric"):
             load_two_files(nd, d)
+
+    def test_non_finite_line(self, tmp_path):
+        nd = tmp_path / "a.txt"
+        d = tmp_path / "b.txt"
+        nd.write_text("1.0\ninf\n")
+        d.write_text("1.0\n2.0\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{nd}:2: non-finite score")):
+            load_two_files(nd, d)
+
+    def test_missing_file(self, tmp_path):
+        d = tmp_path / "b.txt"
+        d.write_text("1.0\n2.0\n")
+        with pytest.raises(DatasetError, match="not found"):
+            load_two_files(tmp_path / "absent.txt", d)
 
 
 class TestGrid:

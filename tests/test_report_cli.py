@@ -1,5 +1,6 @@
 """Report assembly, serialization, comparison table and the CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -75,6 +76,26 @@ class TestRun:
         run(config)
         lines = (tmp_path / "out" / "replicates.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 20  # header + M rows
+
+    def test_report_csv_matches_json(self, tmp_path):
+        run(fast_config(tmp_path, out_dir=str(tmp_path / "csv"), report_format="csv"))
+        run(fast_config(tmp_path, out_dir=str(tmp_path / "json")))
+        with (tmp_path / "csv" / "report.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["estimator", "auc_trapezoidal", "auc_mann_whitney"]
+        doc = json.loads((tmp_path / "json" / "report.json").read_text())
+        assert sorted(row[0] for row in rows) == sorted(doc["estimators"])
+        for name, trapezoidal, mann_whitney in rows:
+            assert float(trapezoidal) == doc["estimators"][name]["auc_trapezoidal"]
+            assert float(mann_whitney) == doc["estimators"][name]["auc_mann_whitney"]
+
+    def test_mg_bands_csv(self, tmp_path):
+        run(fast_config(tmp_path, estimators=("mg",)))
+        with (tmp_path / "out" / "mg_bands.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "mean", "se", "ci_lower", "ci_upper", "env_lower", "env_upper"]
+        assert len(rows) == 64  # one per grid point
+        assert all(len(row) == 7 for row in rows)
 
     def test_plots_written(self, tmp_path):
         config = fast_config(tmp_path, plots=True)

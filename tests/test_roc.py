@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from mixroc.datasets import FprGrid, from_arrays, make_refined_grid, make_uniform_grid
-from mixroc.distmath import norm_cdf
 from mixroc.gmm import GmmModel
 from mixroc.roc import (
     RocCurveGrid,
@@ -162,7 +162,7 @@ class TestFunctionalRoc:
         g = GmmModel([1.0], [3.0], [1.0])
         curve = functional_roc(f, g, make_uniform_grid(2048))
         assert auc_trapezoid(curve) == pytest.approx(
-            float(norm_cdf(3 / np.sqrt(2))), abs=5e-4
+            float(ndtr(3 / np.sqrt(2))), abs=5e-4
         )
 
     @pytest.mark.parametrize("mu_d, sigma_d", [(1.5, 1.0), (3.0, 0.5), (0.5, 2.0)])
