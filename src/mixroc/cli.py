@@ -34,6 +34,7 @@ from .gmm import EmCollapseError, EmConfig
 from .report import Report, compare_table
 from .roc import (
     RocCurveGrid,
+    _check_pauc_interval,
     auc_mann_whitney,
     auc_trapezoid,
     empirical_roc,
@@ -81,6 +82,8 @@ class RunConfig:
             raise ValueError(f"unknown report format {self.report_format!r}")
         if self.input_path is None and (self.non_diseased_path is None or self.diseased_path is None):
             raise ValueError("either --input or both --non-diseased and --diseased are required")
+        for lo, hi in self.pauc_intervals:
+            _check_pauc_interval(lo, hi)
 
 
 def _load(config: RunConfig) -> LabeledDataset:

@@ -163,6 +163,16 @@ def _parse_score(text: str, path: Path, line: int) -> float:
     return score
 
 
+def _open_input(path: Path):
+    """Open an input file for reading as text, newlines untranslated for csv."""
+    if not path.is_file():
+        raise DatasetError(f"input file not found: {path}")
+    try:
+        return path.open(newline="")
+    except OSError as exc:  # unreadable input is an ingestion error
+        raise DatasetError(f"cannot read {path}: {exc}") from None
+
+
 def load_dataset(
     path,
     score_col: str = "score",
@@ -177,15 +187,9 @@ def load_dataset(
     non-numeric score is an error, so row count is conserved by construction.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"input file not found: {path}")
     xs: list[float] = []
     ys: list[float] = []
-    try:
-        fh = path.open(newline="")
-    except OSError as exc:  # unreadable input is an ingestion error
-        raise DatasetError(f"cannot read {path}: {exc}") from None
-    with fh:
+    with _open_input(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DatasetError(f"{path}: empty file, a header row is required")
@@ -215,13 +219,8 @@ def load_two_files(non_diseased_path, diseased_path, source_name: str | None = N
 
     def read_scores(path) -> list[float]:
         path = Path(path)
-        if not path.is_file():
-            raise DatasetError(f"input file not found: {path}")
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise DatasetError(f"cannot read {path}: {exc}") from None
-        lines = enumerate(map(str.strip, text.splitlines()), start=1)
+        with _open_input(path) as fh:
+            lines = enumerate(map(str.strip, fh.read().splitlines()), start=1)
         return [_parse_score(line, path, i) for i, line in lines if line]
 
     name = source_name if source_name is not None else Path(non_diseased_path).stem

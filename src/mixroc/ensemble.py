@@ -1,10 +1,11 @@
 """Monte Carlo ensemble of replica ROC curves from fitted mixtures.
 
 Each replicate draws a synthetic study (one sample per population) from
-the fitted mixtures, computes its empirical ROC on the shared grid and
-its AUC. The ensemble mean is the curve estimate; per-point standard
-errors give a mean confidence band, pointwise quantiles give an envelope
-band. Replicate RNG streams are spawned per index from the master seed,
+the fitted mixtures and computes its empirical ROC on the shared grid
+and its AUCs with the row kernels of :mod:`mixroc.roc`, the same ones
+behind the single-study functions. The ensemble mean is the curve
+estimate; per-point standard errors give a mean confidence band,
+pointwise quantiles give an envelope band. Replicate RNG streams are spawned per index from the master seed,
 and replicates are reduced in blocks of rows whose arithmetic does not
 depend on which rows share a block, so the same seed gives bit-identical
 results for any block size or execution order.
@@ -21,10 +22,12 @@ from scipy.special import ndtri
 from .datasets import FprGrid, LabeledDataset, PopulationTag, make_uniform_grid
 from .gmm import EmConfig, GmmModel, sample_from, select_k
 
-# empirical_roc and auc_mann_whitney are the single-study forms of the block
-# kernels below; they stay importable here because benchmarks/tracing.py
-# wraps them on this module
-from .roc import RocCurveGrid, auc_mann_whitney, auc_trapezoid, empirical_roc  # noqa: F401
+# auc_mann_whitney and empirical_roc stay importable here because
+# benchmarks/tracing.py wraps them on this module
+from .roc import (  # noqa: F401
+    RocCurveGrid, _mann_whitney_rows, _quantile_plan, _row_quantiles, _tpr_rows,
+    _trapezoid_rows, auc_mann_whitney, auc_trapezoid, empirical_roc,
+)
 
 # values per block of replicates, where a block row holds at most
 # n_x + n_y + grid count of them: keeps the working memory of run_mg small
@@ -94,87 +97,6 @@ def _resolve(config: MgConfig, dataset: LabeledDataset | None) -> MgConfig:
     return replace(config, **updates) if updates else config
 
 
-def _quantile_plan(n: int, q: NDArray[np.float64]):
-    """Gather indices and weights of `np.quantile(row, q, method="interpolated_inverted_cdf")`.
-
-    They depend only on the row length, so one plan serves every row.
-    The arithmetic is numpy's own, index clamping included, so that
-    :func:`_row_quantiles` is bit-identical to the per-row call.
-    """
-    virtual = n * q - 1.0
-    lo = np.floor(virtual)
-    hi = lo + 1.0
-    above = virtual >= n - 1
-    lo[above] = hi[above] = -1.0
-    below = virtual < 0
-    lo[below] = hi[below] = 0.0
-    return lo.astype(np.intp), hi.astype(np.intp), virtual - lo
-
-
-def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
-    """Quantiles of each sorted row, with numpy's lerp form (b - d(1-g) for g >= 0.5)."""
-    lo, hi, gamma = plan
-    a = rows[:, lo]
-    b = rows[:, hi]
-    d = b - a
-    return np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma)
-
-
-def _merge_order(first: NDArray[np.float64], second: NDArray[np.float64]) -> NDArray[np.intp]:
-    """Stable row-wise sort order of [first | second]: on ties, `first`'s entries come first."""
-    return np.argsort(np.concatenate([first, second], axis=1), axis=1, kind="stable")
-
-
-def _count_le(sorted_rows: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.intp]:
-    """`np.searchsorted(sorted_rows[i], values[i], side="right")` for every row i.
-
-    In the merge a score tied with a value sorts before it, so the scores
-    at or before a value's slot are exactly those <= the value.
-    """
-    n = sorted_rows.shape[1]
-    order = _merge_order(sorted_rows, values)
-    scores_so_far = np.cumsum(order < n, axis=1)
-    slot = np.empty_like(order)
-    np.put_along_axis(slot, order, np.arange(order.shape[1]), axis=1)
-    return np.take_along_axis(scores_so_far, slot[:, n:], axis=1)
-
-
-def _tpr_rows(
-    y: NDArray[np.float64], c: NDArray[np.float64], t: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Per-row empirical TPR: the share of each sorted row of `y` above its thresholds."""
-    n_y = y.shape[1]
-    r = (n_y - _count_le(y, c)) / n_y
-    r[:, t >= 1.0] = 1.0
-    return np.maximum.accumulate(r, axis=1)
-
-
-def _trapezoid_rows(r: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Per-row trapezoid AUC, extended flat to t=0 and t=1 as in `auc_trapezoid`."""
-    area = np.trapezoid(r, t, axis=1)
-    if t[0] > 0.0:
-        area += r[:, 0] * t[0]
-    if t[-1] < 1.0:
-        area += r[:, -1] * (1.0 - t[-1])
-    return area
-
-
-def _mann_whitney_rows(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Per-row midrank Mann-Whitney AUC of sorted rows x (non-diseased) and y.
-
-    U = sum_j #{x < y_j} + #{x = y_j}/2 = (sum_j #{x <= y_j} + sum_j #{x < y_j}) / 2.
-    In a merge of the sorted rows, y_j lands after the j earlier y's and
-    after #{x <= y_j} x's when x sorts first on ties, #{x < y_j} when y
-    does; so both sums are slot sums, integers, and ties stay exact midranks.
-    """
-    n, m = x.shape[1], y.shape[1]
-    slots = np.arange(n + m)
-    le_slots = (_merge_order(x, y) >= n) @ slots
-    lt_slots = (_merge_order(y, x) < m) @ slots
-    twice_u = le_slots + lt_slots - m * (m - 1)
-    return twice_u / 2.0 / (n * m)
-
-
 def run_mg(
     f_model: GmmModel,
     g_model: GmmModel,
@@ -185,9 +107,9 @@ def run_mg(
 
     Replicate l draws its two samples from an RNG stream spawned as child
     l of the master seed. Replicates are processed in blocks of rows: the
-    sorted samples of a block fill two score matrices, and thresholds,
-    TPR, trapezoid AUC and Mann-Whitney AUC are computed as array work
-    over the whole block, each row's result bit-identical to
+    sorted samples of a block fill two score matrices, and the row kernels
+    of :mod:`mixroc.roc` compute thresholds, TPR, trapezoid AUC and
+    Mann-Whitney AUC over the whole block, so each row equals
     :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
     index, so they do not depend on the block size.

@@ -7,6 +7,10 @@ can be compared pointwise. Two empirical constructions are provided:
   survival quantile (piecewise-linear by default, pure step optionally);
 * the exact operating-point polyline swept over all distinct thresholds,
   for which the trapezoidal area equals the midrank Mann-Whitney statistic.
+
+Row kernels over (rows, n) blocks of sorted scores do the curve and AUC
+arithmetic: the single-study functions are their one-row case, and
+:mod:`mixroc.ensemble` calls them on blocks of replicates.
 """
 
 from __future__ import annotations
@@ -15,12 +19,92 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.stats import rankdata
 
 from .datasets import FprGrid, LabeledDataset
 from .gmm import GmmModel, survival, survival_inverse
 
 _EDGE_TOL = 1e-9
+
+
+def _quantile_plan(n: int, q: NDArray[np.float64]):
+    """Gather indices and weights of `np.quantile(row, q, method="interpolated_inverted_cdf")`.
+
+    They depend only on the row length, so one plan serves every row.
+    The arithmetic is numpy's own, index clamping included, so that
+    :func:`_row_quantiles` is bit-identical to the per-row call.
+    """
+    virtual = n * q - 1.0
+    lo = np.floor(virtual)
+    hi = lo + 1.0
+    above = virtual >= n - 1
+    lo[above] = hi[above] = -1.0
+    below = virtual < 0
+    lo[below] = hi[below] = 0.0
+    return lo.astype(np.intp), hi.astype(np.intp), virtual - lo
+
+
+def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
+    """Quantiles of each sorted row, with numpy's lerp form (b - d(1-g) for g >= 0.5)."""
+    lo, hi, gamma = plan
+    a = rows[:, lo]
+    b = rows[:, hi]
+    d = b - a
+    return np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma)
+
+
+def _merge_order(first: NDArray[np.float64], second: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Stable row-wise sort order of [first | second]: on ties, `first`'s entries come first."""
+    return np.argsort(np.concatenate([first, second], axis=1), axis=1, kind="stable")
+
+
+def _count_le(sorted_rows: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.intp]:
+    """`np.searchsorted(sorted_rows[i], values[i], side="right")` for every row i.
+
+    In the merge a score tied with a value sorts before it, so the scores
+    at or before a value's slot are exactly those <= the value.
+    """
+    n = sorted_rows.shape[1]
+    order = _merge_order(sorted_rows, values)
+    scores_so_far = np.cumsum(order < n, axis=1)
+    slot = np.empty_like(order)
+    np.put_along_axis(slot, order, np.arange(order.shape[1]), axis=1)
+    return np.take_along_axis(scores_so_far, slot[:, n:], axis=1)
+
+
+def _tpr_rows(
+    y: NDArray[np.float64], c: NDArray[np.float64], t: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Per-row empirical TPR: the share of each sorted row of `y` above its thresholds."""
+    n_y = y.shape[1]
+    r = (n_y - _count_le(y, c)) / n_y
+    r[:, t >= 1.0] = 1.0
+    return np.maximum.accumulate(r, axis=1)
+
+
+def _trapezoid_rows(r: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per-row trapezoid AUC, extended flat to t=0 and t=1 when the grid stops short."""
+    area = np.trapezoid(r, t, axis=1)
+    if t[0] > 0.0:
+        area += r[:, 0] * t[0]
+    if t[-1] < 1.0:
+        area += r[:, -1] * (1.0 - t[-1])
+    return area
+
+
+def _mann_whitney_rows(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per-row midrank Mann-Whitney AUC of sorted rows x (non-diseased) and y.
+
+    U = sum_j #{x < y_j} + #{x = y_j}/2 = (sum_j #{x <= y_j} + sum_j #{x < y_j}) / 2.
+    In a merge of the sorted rows, y_j lands after the j earlier y's and
+    after #{x <= y_j} x's when x sorts first on ties, #{x < y_j} when y
+    does; so both sums are slot sums, integers, and ties stay exact midranks.
+    """
+    n, m = x.shape[1], y.shape[1]
+    slots = np.arange(n + m)
+    le_slots = (_merge_order(x, y) >= n) @ slots
+    lt_slots = (_merge_order(y, x) < m) @ slots
+    twice_u = le_slots + lt_slots - m * (m - 1)
+    return twice_u / 2.0 / (n * m)
 
 
 @dataclass(frozen=True)
@@ -70,7 +154,7 @@ def empirical_roc(
     y = dataset.diseased.scores
     t = grid.points
     if interpolate:
-        c = np.quantile(x, 1.0 - t, method="interpolated_inverted_cdf")
+        c = _row_quantiles(x[None], _quantile_plan(x.size, 1.0 - t))[0]
     else:
         # c_t = inf{c : FP(c) <= t} directly by order statistic; the 1e-12
         # guard keeps t values that are exact multiples of 1/n from falling
@@ -78,9 +162,7 @@ def empirical_roc(
         allowed = np.floor(t * x.size + 1e-12).astype(int)
         c = x[::-1][np.minimum(allowed, x.size - 1)].astype(float)
         c[allowed >= x.size] = -np.inf
-    r = (y.size - np.searchsorted(y, c, side="right")) / y.size
-    r[t >= 1.0] = 1.0
-    return RocCurveGrid(grid, np.maximum.accumulate(r), label)
+    return RocCurveGrid(grid, _tpr_rows(y[None], c[None], t)[0], label)
 
 
 def empirical_roc_points(dataset: LabeledDataset):
@@ -133,14 +215,7 @@ def auc_trapezoid(curve: RocCurveGrid) -> float:
     If the grid excludes an endpoint the curve is extended flat
     (R(0) = first value, R(1) = last value) to close the integral.
     """
-    t = curve.grid.points
-    r = curve.tpr
-    area = float(np.trapezoid(r, t))
-    if t[0] > 0.0:
-        area += float(r[0]) * float(t[0])
-    if t[-1] < 1.0:
-        area += float(r[-1]) * (1.0 - float(t[-1]))
-    return area
+    return float(_trapezoid_rows(curve.tpr[None], curve.grid.points)[0])
 
 
 def auc_trapezoid_points(fpr, tpr) -> float:
@@ -151,14 +226,16 @@ def auc_trapezoid_points(fpr, tpr) -> float:
 def auc_mann_whitney(dataset: LabeledDataset) -> float:
     """Mann-Whitney AUC: P(Y > X) + 0.5 P(Y = X), via midranks.
 
-    O((n+m) log(n+m)) through a pooled ranking rather than the pair sum.
+    O((n+m) log(n+m)) through a merge of the sorted samples, not the pair sum.
     """
     x = dataset.non_diseased.scores
     y = dataset.diseased.scores
-    n, m = x.size, y.size
-    ranks = rankdata(np.concatenate([x, y]), method="average")
-    u = float(np.sum(ranks[n:])) - m * (m + 1) / 2.0
-    return u / (n * m)
+    return float(_mann_whitney_rows(x[None], y[None])[0])
+
+
+def _check_pauc_interval(t_lo: float, t_hi: float) -> None:
+    if not (0.0 <= t_lo < t_hi <= 1.0):
+        raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got [{t_lo}, {t_hi}]")
 
 
 def pauc(curve: RocCurveGrid, t_lo: float, t_hi: float) -> float:
@@ -168,8 +245,7 @@ def pauc(curve: RocCurveGrid, t_lo: float, t_hi: float) -> float:
     interpolation; outside the grid range the curve extends flat, matching
     :func:`auc_trapezoid`.
     """
-    if not (0.0 <= t_lo < t_hi <= 1.0):
-        raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got [{t_lo}, {t_hi}]")
+    _check_pauc_interval(t_lo, t_hi)
     t = curve.grid.points
     r = curve.tpr
     inner = t[(t > t_lo) & (t < t_hi)]

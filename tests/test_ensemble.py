@@ -5,10 +5,9 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import rankdata
 
-from mixroc import ensemble
+from mixroc import ensemble, roc
 from mixroc.datasets import (
     FprGrid,
-    LabeledDataset,
     PopulationTag,
     from_arrays,
     make_refined_grid,
@@ -150,15 +149,46 @@ ROW_GRIDS = {
 }
 
 
+# Reference single-study curve and AUCs written with np.quantile, searchsorted
+# and rankdata: the row kernels and their one-row public forms share no code
+# with them, so comparing against these is not a self-comparison.
+def frozen_roc(x, y, t, interpolate=True):
+    if interpolate:
+        c = np.quantile(x, 1.0 - t, method="interpolated_inverted_cdf")
+    else:
+        allowed = np.floor(t * x.size + 1e-12).astype(int)
+        c = x[::-1][np.minimum(allowed, x.size - 1)].astype(float)
+        c[allowed >= x.size] = -np.inf
+    r = (y.size - np.searchsorted(y, c, side="right")) / y.size
+    r[t >= 1.0] = 1.0
+    return np.maximum.accumulate(r)
+
+
+def frozen_trapezoid(r, t):
+    area = float(np.trapezoid(r, t))
+    if t[0] > 0.0:
+        area += float(r[0]) * float(t[0])
+    if t[-1] < 1.0:
+        area += float(r[-1]) * (1.0 - float(t[-1]))
+    return area
+
+
+def frozen_mann_whitney(x, y):
+    n, m = x.size, y.size
+    ranks = rankdata(np.concatenate([x, y]), method="average")
+    return (float(np.sum(ranks[n:])) - m * (m + 1) / 2.0) / (n * m)
+
+
 @pytest.mark.parametrize("grid_name", sorted(ROW_GRIDS))
 @pytest.mark.parametrize("data_name", sorted(ROW_INPUTS))
 class TestRowKernels:
-    """Each block kernel equals its per-row reference bit for bit."""
+    """The row kernels of mixroc.roc, and their one-row public forms, equal
+    the per-row references bit for bit."""
 
     def test_quantiles(self, data_name, grid_name):
         x, _ = ROW_INPUTS[data_name]
         q = 1.0 - ROW_GRIDS[grid_name].points
-        got = ensemble._row_quantiles(x, ensemble._quantile_plan(x.shape[1], q))
+        got = roc._row_quantiles(x, roc._quantile_plan(x.shape[1], q))
         want = [np.quantile(row, q, method="interpolated_inverted_cdf") for row in x]
         np.testing.assert_array_equal(got, want)
 
@@ -166,34 +196,36 @@ class TestRowKernels:
         x, y = ROW_INPUTS[data_name]
         q = 1.0 - ROW_GRIDS[grid_name].points
         c = np.array([np.quantile(row, q, method="interpolated_inverted_cdf") for row in x])
-        got = ensemble._count_le(y, c)
+        got = roc._count_le(y, c)
         want = [np.searchsorted(yr, cr, side="right") for yr, cr in zip(y, c)]
         np.testing.assert_array_equal(got, want)
         # thresholds that are scores themselves tie exactly
         np.testing.assert_array_equal(
-            ensemble._count_le(y, x), [np.searchsorted(yr, xr, side="right") for yr, xr in zip(y, x)]
+            roc._count_le(y, x), [np.searchsorted(yr, xr, side="right") for yr, xr in zip(y, x)]
         )
 
     def test_curves_and_aucs(self, data_name, grid_name):
         x, y = ROW_INPUTS[data_name]
         grid = ROW_GRIDS[grid_name]
         t = grid.points
-        c = ensemble._row_quantiles(x, ensemble._quantile_plan(x.shape[1], 1.0 - t))
-        tpr = ensemble._tpr_rows(y, c, t)
-        curves = [empirical_roc(from_arrays(xr, yr), grid) for xr, yr in zip(x, y)]
-        np.testing.assert_array_equal(tpr, [curve.tpr for curve in curves])
-        np.testing.assert_array_equal(
-            ensemble._trapezoid_rows(tpr, t), [auc_trapezoid(curve) for curve in curves]
-        )
+        c = roc._row_quantiles(x, roc._quantile_plan(x.shape[1], 1.0 - t))
+        tpr = roc._tpr_rows(y, c, t)
+        want = [frozen_roc(xr, yr, t) for xr, yr in zip(x, y)]
+        np.testing.assert_array_equal(tpr, want)
+        np.testing.assert_array_equal(roc._trapezoid_rows(tpr, t), [frozen_trapezoid(r, t) for r in want])
+        for xr, yr, r in zip(x, y, want):
+            study = from_arrays(xr, yr)
+            curve = empirical_roc(study, grid)
+            np.testing.assert_array_equal(curve.tpr, r)
+            assert auc_trapezoid(curve) == frozen_trapezoid(r, t)
+            step = frozen_roc(xr, yr, t, interpolate=False)
+            np.testing.assert_array_equal(empirical_roc(study, grid, interpolate=False).tpr, step)
 
     def test_mann_whitney(self, data_name, grid_name):
         x, y = ROW_INPUTS[data_name]
-        n, m = x.shape[1], y.shape[1]
-        want = [
-            (np.sum(rankdata(np.concatenate([xr, yr]))[n:]) - m * (m + 1) / 2.0) / (n * m)
-            for xr, yr in zip(x, y)
-        ]
-        np.testing.assert_array_equal(ensemble._mann_whitney_rows(x, y), want)
+        want = [frozen_mann_whitney(xr, yr) for xr, yr in zip(x, y)]
+        np.testing.assert_array_equal(roc._mann_whitney_rows(x, y), want)
+        assert [auc_mann_whitney(from_arrays(xr, yr)) for xr, yr in zip(x, y)] == want
 
 
 def test_run_mg_matches_per_replicate_loop():
@@ -208,13 +240,11 @@ def test_run_mg_matches_per_replicate_loop():
     mws = np.empty(config.m)
     for l, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.m)):
         rng = np.random.default_rng(child)
-        xs = sample_from(f, config.replicate_n_x, rng, PopulationTag.NON_DISEASED)
-        ys = sample_from(g, config.replicate_n_y, rng, PopulationTag.DISEASED)
-        study = LabeledDataset(xs, ys)
-        curve = empirical_roc(study, grid, label="replicate")
-        curves[l] = curve.tpr
-        aucs[l] = auc_trapezoid(curve)
-        mws[l] = auc_mann_whitney(study)
+        xs = sample_from(f, config.replicate_n_x, rng, PopulationTag.NON_DISEASED).scores
+        ys = sample_from(g, config.replicate_n_y, rng, PopulationTag.DISEASED).scores
+        curves[l] = frozen_roc(xs, ys, grid.points)
+        aucs[l] = frozen_trapezoid(curves[l], grid.points)
+        mws[l] = frozen_mann_whitney(xs, ys)
     mean_tpr = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1)
     half = ndtri(1.0 - config.alpha / 2.0) * se / np.sqrt(config.m)
@@ -230,7 +260,7 @@ def test_run_mg_matches_per_replicate_loop():
     np.testing.assert_array_equal(res.ci_upper, np.clip(mean_tpr + half, 0.0, 1.0))
     np.testing.assert_array_equal(res.env_lower, np.clip(np.minimum(env_lower, mean_tpr), 0.0, 1.0))
     np.testing.assert_array_equal(res.env_upper, np.clip(np.maximum(env_upper, mean_tpr), 0.0, 1.0))
-    assert res.auc_mean == auc_trapezoid(RocCurveGrid(grid, mean_tpr))
+    assert res.auc_mean == frozen_trapezoid(RocCurveGrid(grid, mean_tpr).tpr, grid.points)
     assert res.auc_se == float(np.std(aucs, ddof=1))
 
 

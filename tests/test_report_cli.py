@@ -110,6 +110,8 @@ class TestRun:
             fast_config(tmp_path, estimators=())
         with pytest.raises(ValueError, match="unknown estimators"):
             fast_config(tmp_path, estimators=("labroc",))
+        with pytest.raises(ValueError, match="t_lo < t_hi"):
+            fast_config(tmp_path, pauc_intervals=((0.5, 0.2),))
 
 
 class TestCompareTable:
@@ -174,16 +176,24 @@ class TestCompareTable:
 
 
 class TestCliProcess:
-    def cli(self, *args):
+    def python(self, *args):
         # the child imports the same mixroc as this process, installed or not
         package_root = str(Path(mixroc.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "mixroc.cli", *args],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def cli(self, *args):
+        return self.python("-m", "mixroc.cli", *args)
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats is the largest part of a start-up; the package has no use for it
+        proc = self.python("-c", "import sys, mixroc.cli; assert 'scipy.stats' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_input_no_partial_outputs(self, tmp_path):
         out = tmp_path / "out"
