@@ -61,7 +61,6 @@ overlay = roc_overlay_svg(
         ("mg", grid.points, ensemble.mean_curve.tpr),
     ],
     band=(grid.points, ensemble.env_lower, ensemble.env_upper),
-    title="Synthetic bimodal study",
 )
 with open("demo_roc_overlay.svg", "w") as fh:
     fh.write(overlay)

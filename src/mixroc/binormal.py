@@ -66,7 +66,7 @@ def fit_binormal(dataset: LabeledDataset) -> BinormalParams:
     )
 
 
-def binormal_curve(params: BinormalParams, grid: FprGrid, label: str = "binormal") -> RocCurveGrid:
+def binormal_curve(params: BinormalParams, grid: FprGrid) -> RocCurveGrid:
     """R(t) = Phi(a + b Phi^{-1}(t)) on the grid, endpoints pinned to (0,0), (1,1)."""
     t = grid.points
     r = np.empty_like(t)
@@ -74,7 +74,7 @@ def binormal_curve(params: BinormalParams, grid: FprGrid, label: str = "binormal
     r[interior] = ndtr(params.a + params.b * ndtri(t[interior]))
     r[t <= 0.0] = 0.0
     r[t >= 1.0] = 1.0
-    return RocCurveGrid(grid, r, label)
+    return RocCurveGrid(grid, r)
 
 
 def binormal_auc(params: BinormalParams) -> float:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import scipy
 from . import __version__
 from .binormal import binormal_auc, binormal_curve, fit_binormal
 from .datasets import (
+    DEFAULT_GRID_SIZE,
     DatasetError,
     LabeledDataset,
     load_dataset,
@@ -30,7 +32,7 @@ from .datasets import (
     make_uniform_grid,
 )
 from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline
-from .gmm import EmCollapseError, EmConfig
+from .gmm import EM_TOL, EmCollapseError, EmConfig
 from .report import Report, compare_table
 from .roc import (
     RocCurveGrid,
@@ -49,6 +51,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 ESTIMATORS = ("empirical", "binormal", "mg")
+REPORT_FORMATS = ("json", "csv", "table")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class RunConfig:
     estimators: tuple[str, ...] = ESTIMATORS
     em: EmConfig = field(default_factory=EmConfig)
     mg: MgConfig = field(default_factory=MgConfig)
-    grid_size: int = 512
     pauc_intervals: tuple[tuple[float, float], ...] = ()
     out_dir: str = "."
     plots: bool = False
@@ -78,7 +80,7 @@ class RunConfig:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if self.report_format not in ("json", "csv", "table"):
+        if self.report_format not in REPORT_FORMATS:
             raise ValueError(f"unknown report format {self.report_format!r}")
         if self.input_path is None and (self.non_diseased_path is None or self.diseased_path is None):
             raise ValueError("either --input or both --non-diseased and --diseased are required")
@@ -106,8 +108,7 @@ def run(config: RunConfig) -> Report:
     run leaves no partial outputs behind.
     """
     dataset = _load(config)
-    grid = make_uniform_grid(config.grid_size)
-    mg_config = config.mg if config.mg.grid is not None else replace(config.mg, grid=grid)
+    grid = config.mg.grid
 
     curves: dict[str, RocCurveGrid] = {}
     estimators: dict[str, dict] = {}
@@ -133,9 +134,7 @@ def run(config: RunConfig) -> Report:
             "params": params.to_json_dict(),
         }
     if "mg" in config.estimators:
-        f_model, g_model, mg_result = mg_pipeline(
-            dataset, config.em, mg_config, keep_replicates=config.dump_replicates
-        )
+        f_model, g_model, mg_result = mg_pipeline(dataset, config.em, config.mg)
         models = (f_model, g_model)
         curves["mg"] = mg_result.mean_curve
         estimators["mg"] = {
@@ -146,7 +145,7 @@ def run(config: RunConfig) -> Report:
             "k_diseased": g_model.k,
             "models": {"non_diseased": f_model.to_json_dict(), "diseased": g_model.to_json_dict()},
             "bands": {
-                "alpha": mg_config.alpha,
+                "alpha": config.mg.alpha,
                 "mean_ci_avg_width": float(np.mean(mg_result.ci_upper - mg_result.ci_lower)),
                 "envelope_avg_width": float(np.mean(mg_result.env_upper - mg_result.env_lower)),
             },
@@ -158,15 +157,15 @@ def run(config: RunConfig) -> Report:
         pauc_block[key] = {name: pauc(curve, lo, hi) for name, curve in curves.items()}
 
     settings = {
-        "seed": mg_config.seed,
-        "m": mg_config.m,
-        "alpha": mg_config.alpha,
-        "grid_size": config.grid_size,
+        "seed": config.mg.seed,
+        "m": config.mg.m,
+        "alpha": config.mg.alpha,
+        "grid_size": grid.count,
         "em": {
             "k_min": config.em.k_min,
             "k_max": config.em.k_max,
             "n_restarts": config.em.n_restarts,
-            "tol": config.em.tol,
+            "tol": EM_TOL,
             "max_iter": config.em.max_iter,
             "seed": config.em.seed,
         },
@@ -223,7 +222,7 @@ def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
             ],
         )
     else:
-        (out / "report.txt").write_text(compare_table([report], fmt="text"))
+        (out / "report.txt").write_text(compare_table([report]))
 
     for name, curve in curves.items():
         rows = _repr_rows(zip(curve.grid.points, curve.tpr))
@@ -246,10 +245,10 @@ def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
 
     if models is not None:
         f_model, g_model = models
-        (out / "model_non_diseased.json").write_text(f_model.to_json() + "\n")
-        (out / "model_diseased.json").write_text(g_model.to_json() + "\n")
+        (out / "model_non_diseased.json").write_text(json.dumps(f_model.to_json_dict()) + "\n")
+        (out / "model_diseased.json").write_text(json.dumps(g_model.to_json_dict()) + "\n")
 
-    if config.dump_replicates and mg_result is not None and mg_result.replicate_matrix is not None:
+    if config.dump_replicates and mg_result is not None:
         _write_csv(
             out / "replicates.csv",
             [repr(float(t)) for t in mg_result.mean_curve.grid.points],
@@ -285,23 +284,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="labeled CSV (header row required)")
     parser.add_argument("--non-diseased", help="plain text scores, one per line (two-file mode)")
     parser.add_argument("--diseased", help="plain text scores, one per line (two-file mode)")
-    parser.add_argument("--score-col", default="score", help="score column name (default: score)")
-    parser.add_argument("--label-col", default="label", help="label column name (default: label)")
-    parser.add_argument(
-        "--estimators",
-        default="empirical,binormal,mg",
-        help="comma list from {empirical,binormal,mg}",
-    )
-    parser.add_argument("--grid-size", type=int, default=512, help="FPR grid size (default 512)")
-    parser.add_argument("--mc-reps", type=int, default=1000, help="ensemble size M (default 1000)")
-    parser.add_argument("--alpha", type=float, default=0.05, help="band level (default 0.05)")
-    parser.add_argument("--k-max", type=int, default=5, help="max mixture components (default 5)")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--score-col", default=RunConfig.score_col,
+                        help="score column name (default: %(default)s)")
+    parser.add_argument("--label-col", default=RunConfig.label_col,
+                        help="label column name, values 0 and 1 (default: %(default)s)")
+    parser.add_argument("--estimators", default=",".join(ESTIMATORS),
+                        help="comma-separated subset of %(default)s")
+    parser.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                        help="points of the FPR grid every estimator shares (default: %(default)s)")
+    parser.add_argument("--mc-reps", type=int, default=MgConfig.m,
+                        help="ensemble size M (default: %(default)s)")
+    parser.add_argument("--alpha", type=float, default=MgConfig.alpha,
+                        help="band level (default: %(default)s)")
+    parser.add_argument("--k-max", type=int, default=EmConfig.k_max,
+                        help="max mixture components (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=MgConfig.seed,
+                        help="master RNG seed (default: %(default)s)")
     parser.add_argument("--pauc", action="append", default=[], metavar="LO:HI",
                         help="pAUC interval, repeatable (e.g. 0:0.2)")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", default=RunConfig.out_dir, help="output directory (default: %(default)s)")
     parser.add_argument("--plots", action="store_true", help="write SVG plots")
-    parser.add_argument("--report-format", choices=("json", "csv", "table"), default="json")
+    parser.add_argument("--report-format", choices=REPORT_FORMATS, default=RunConfig.report_format,
+                        help="report file format (default: %(default)s)")
     parser.add_argument("--dump-replicates", action="store_true",
                         help="write the full M x grid replicate matrix")
     parser.add_argument("--reproducible", action="store_true",
@@ -326,8 +330,8 @@ def config_from_args(args) -> RunConfig:
         label_col=args.label_col,
         estimators=tuple(e.strip() for e in args.estimators.split(",") if e.strip()),
         em=EmConfig(k_max=args.k_max, seed=args.seed),
-        mg=MgConfig(m=args.mc_reps, alpha=args.alpha, seed=args.seed),
-        grid_size=args.grid_size,
+        mg=MgConfig(m=args.mc_reps, alpha=args.alpha, grid=make_uniform_grid(args.grid_size),
+                    seed=args.seed),
         pauc_intervals=tuple(intervals),
         out_dir=args.out,
         plots=args.plots,
@@ -358,7 +362,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     if config.report_format == "table":
-        print(compare_table([report], fmt="text"), end="")
+        print(compare_table([report]), end="")
     return EXIT_OK
 
 

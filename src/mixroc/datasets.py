@@ -177,14 +177,14 @@ def load_dataset(
     path,
     score_col: str = "score",
     label_col: str = "label",
-    non_diseased_label: str = "0",
-    diseased_label: str = "1",
     source_name: str | None = None,
 ) -> LabeledDataset:
     """Load a labeled CSV (header required) into a :class:`LabeledDataset`.
 
-    Every row must parse; a label other than the two declared values or a
-    non-numeric score is an error, so row count is conserved by construction.
+    Label 0 marks a non-diseased score and 1 a diseased one, as
+    :func:`save_dataset` writes them. Every row must parse; any other label
+    or a non-numeric score is an error, so row count is conserved by
+    construction.
     """
     path = Path(path)
     xs: list[float] = []
@@ -201,9 +201,9 @@ def load_dataset(
         for i, row in enumerate(reader, start=2):
             score = _parse_score((row[score_col] or "").strip(), path, i)
             raw_label = (row[label_col] or "").strip()
-            if raw_label == non_diseased_label:
+            if raw_label == "0":
                 xs.append(score)
-            elif raw_label == diseased_label:
+            elif raw_label == "1":
                 ys.append(score)
             else:
                 raise DatasetError(f"{path}:{i}: unknown label {raw_label!r}")
@@ -216,15 +216,22 @@ def load_dataset(
 
 def load_two_files(non_diseased_path, diseased_path, source_name: str | None = None) -> LabeledDataset:
     """Load the two-file layout: one score per line, one file per population."""
+    name = source_name if source_name is not None else Path(non_diseased_path).stem
 
-    def read_scores(path) -> list[float]:
+    def read_sample(path, tag: PopulationTag) -> ScoreSample:
         path = Path(path)
         with _open_input(path) as fh:
             lines = enumerate(map(str.strip, fh.read().splitlines()), start=1)
-        return [_parse_score(line, path, i) for i, line in lines if line]
+        scores = [_parse_score(line, path, i) for i, line in lines if line]
+        try:
+            return ScoreSample(scores, tag, name)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
 
-    name = source_name if source_name is not None else Path(non_diseased_path).stem
-    return from_arrays(read_scores(non_diseased_path), read_scores(diseased_path), name)
+    return LabeledDataset(
+        read_sample(non_diseased_path, PopulationTag.NON_DISEASED),
+        read_sample(diseased_path, PopulationTag.DISEASED),
+    )
 
 
 def save_dataset(dataset: LabeledDataset, path, score_col: str = "score", label_col: str = "label") -> None:

@@ -13,7 +13,7 @@ results for any block size or execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,17 +37,18 @@ _BLOCK_SCORES = 2**14
 
 @dataclass(frozen=True)
 class MgConfig:
-    """Ensemble settings.
+    """Ensemble settings: M replicates, band level, replicate sizes, FPR grid, seed.
 
     `replicate_n_x` / `replicate_n_y` default to the observed sample sizes
-    (resolved by the pipeline); `grid` defaults to 512 uniform points.
+    (resolved by :func:`mg_pipeline`). `grid`, 512 uniform points by
+    default, is the one grid of a CLI run, shared by every estimator.
     """
 
     m: int = 1000
     alpha: float = 0.05
     replicate_n_x: int | None = None
     replicate_n_y: int | None = None
-    grid: FprGrid | None = None
+    grid: FprGrid = field(default_factory=make_uniform_grid)
     seed: int = 0
 
     def __post_init__(self):
@@ -59,6 +60,8 @@ class MgConfig:
             val = getattr(self, name)
             if val is not None and val < 2:
                 raise ValueError(f"{name} must be >= 2, got {val}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class MgEnsembleResult:
     auc_mean: float
     auc_se: float
     auc_mann_whitney_mean: float
-    replicate_matrix: NDArray[np.float64] | None = None
+    replicate_matrix: NDArray[np.float64]
 
     @property
     def m(self) -> int:
@@ -84,8 +87,6 @@ class MgEnsembleResult:
 
 def _resolve(config: MgConfig, dataset: LabeledDataset | None) -> MgConfig:
     updates = {}
-    if config.grid is None:
-        updates["grid"] = make_uniform_grid()
     if config.replicate_n_x is None:
         if dataset is None:
             raise ValueError("replicate_n_x not set and no dataset to take it from")
@@ -97,12 +98,7 @@ def _resolve(config: MgConfig, dataset: LabeledDataset | None) -> MgConfig:
     return replace(config, **updates) if updates else config
 
 
-def run_mg(
-    f_model: GmmModel,
-    g_model: GmmModel,
-    config: MgConfig,
-    keep_replicates: bool = False,
-) -> MgEnsembleResult:
+def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsembleResult:
     """Generate and average the ensemble of replica ROC curves.
 
     Replicate l draws its two samples from an RNG stream spawned as child
@@ -112,7 +108,8 @@ def run_mg(
     Mann-Whitney AUC over the whole block, so each row equals
     :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
-    index, so they do not depend on the block size.
+    index, so they do not depend on the block size. The M x grid matrix
+    of replicate curves is returned as `replicate_matrix`.
     """
     config = _resolve(config, None)
     grid = config.grid
@@ -154,7 +151,7 @@ def run_mg(
     # envelope always contains the mean curve
     env_lower = np.minimum(env_lower, mean_tpr)
     env_upper = np.maximum(env_upper, mean_tpr)
-    mean_curve = RocCurveGrid(grid, mean_tpr, label="mg")
+    mean_curve = RocCurveGrid(grid, mean_tpr)
     return MgEnsembleResult(
         mean_curve=mean_curve,
         se=se,
@@ -166,7 +163,7 @@ def run_mg(
         auc_mean=auc_trapezoid(mean_curve),
         auc_se=float(np.std(aucs, ddof=1)),
         auc_mann_whitney_mean=float(np.mean(mws)),
-        replicate_matrix=curves if keep_replicates else None,
+        replicate_matrix=curves,
     )
 
 
@@ -174,7 +171,6 @@ def mg_pipeline(
     dataset: LabeledDataset,
     em_config: EmConfig = EmConfig(),
     mg_config: MgConfig = MgConfig(),
-    keep_replicates: bool = False,
 ) -> tuple[GmmModel, GmmModel, MgEnsembleResult]:
     """Fit both populations (BIC-selected K) and run the ensemble.
 
@@ -184,5 +180,5 @@ def mg_pipeline(
     f_model = select_k(dataset.non_diseased, em_config)
     g_model = select_k(dataset.diseased, replace(em_config, seed=em_config.seed + 500_000))
     config = _resolve(mg_config, dataset)
-    result = run_mg(f_model, g_model, config, keep_replicates=keep_replicates)
+    result = run_mg(f_model, g_model, config)
     return f_model, g_model, result

@@ -8,7 +8,6 @@ variance is clamped to a floor derived from the data range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from scipy.special import erfc, log_ndtr, logsumexp, ndtri
 from .datasets import PopulationTag, ScoreSample
 
 WEIGHT_SUM_TOL = 1e-12
+EM_TOL = 1e-8  # EM stops when |ll change| <= EM_TOL * (1 + |ll|)
 
 
 class EmCollapseError(RuntimeError):
@@ -81,9 +81,6 @@ class GmmModel:
             "n_train": self.n_train,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GmmModel":
         return cls(
@@ -94,25 +91,19 @@ class GmmModel:
             n_train=int(doc["n_train"]),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GmmModel":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM tuning knobs; the defaults are used everywhere unless overridden.
+    """EM and model-selection settings: K range, iteration cap, restarts, seed.
 
-    variance_floor=None derives the floor from the data as
-    1e-6 * (sample range)^2.
+    The convergence tolerance is :data:`EM_TOL`. Every variance is clamped
+    to a floor derived from the data as 1e-6 * (sample range)^2.
     """
 
     k_min: int = 1
     k_max: int = 5
     max_iter: int = 500
-    tol: float = 1e-8
     n_restarts: int = 5
-    variance_floor: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -120,17 +111,13 @@ class EmConfig:
             raise ValueError("need 1 <= k_min <= k_max")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be > 0")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.variance_floor is not None and self.variance_floor <= 0.0:
-            raise ValueError("variance_floor must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _effective_floor(x: NDArray[np.float64], config: EmConfig) -> float:
-    if config.variance_floor is not None:
-        return float(config.variance_floor)
+def _effective_floor(x: NDArray[np.float64]) -> float:
     rng = float(x[-1] - x[0])  # x is sorted
     if rng > 0.0:
         return 1e-6 * rng * rng
@@ -209,7 +196,7 @@ def _em_single(x, k, config, floor, rng, restart):
             trace.clear()
             continue
         weights = weights / weights.sum()
-        if ll_prev > -np.inf and abs(ll - ll_prev) <= config.tol * (1.0 + abs(ll)):
+        if ll_prev > -np.inf and abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll)):
             break
         ll_prev = ll
     log_comp = _log_components(x, weights, means, variances)
@@ -239,7 +226,7 @@ def fit_em(
     x = np.asarray(sample.scores, dtype=float)
     if k > x.size:
         raise ValueError(f"k={k} exceeds the sample size {x.size}")
-    floor = _effective_floor(x, config)
+    floor = _effective_floor(x)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     best = None
@@ -363,7 +350,6 @@ def sample_from(
     n: int,
     rng: np.random.Generator,
     tag: PopulationTag = PopulationTag.NON_DISEASED,
-    source_name: str = "simulated",
 ) -> ScoreSample:
     """Draw n scores: component index from categorical(weights), then normal.
 
@@ -373,4 +359,4 @@ def sample_from(
         raise ValueError(f"need n >= 2 draws, got {n}")
     comp = rng.choice(model.k, size=n, p=model.weights)
     draws = model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)
-    return ScoreSample(draws, tag, source_name)
+    return ScoreSample(draws, tag, "simulated")

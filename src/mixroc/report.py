@@ -85,7 +85,7 @@ def _rows_for(report: Report):
     return rows, marked
 
 
-def compare_table(reports: list[Report], fmt: str = "text") -> str:
+def compare_table(reports: list[Report]) -> str:
     """Side-by-side AUC matrix over datasets, closest estimator marked.
 
     Rows are estimators, column pairs (Trapezoidal, Mann-Whitney) per
@@ -95,8 +95,6 @@ def compare_table(reports: list[Report], fmt: str = "text") -> str:
     """
     if not reports:
         raise ValueError("compare_table needs at least one report")
-    if fmt not in ("text", "csv"):
-        raise ValueError(f"unknown table format {fmt!r}")
     per_report = [_rows_for(r) for r in reports]
     names = [r.dataset.get("source_name", f"dataset {i}") for i, r in enumerate(reports)]
     estimators: list[str] = []
@@ -104,24 +102,6 @@ def compare_table(reports: list[Report], fmt: str = "text") -> str:
         for row in rows:
             if row[0] not in estimators:
                 estimators.append(row[0])
-
-    if fmt == "csv":
-        buf = io.StringIO()
-        header = ["estimator"]
-        for name in names:
-            header += [f"{name}:trapezoidal", f"{name}:mann_whitney", f"{name}:closest"]
-        print(",".join(header), file=buf)
-        for est in estimators:
-            cells = [est]
-            for rows, _ in per_report:
-                row = next((r for r in rows if r[0] == est), None)
-                if row is None:
-                    cells += ["", "", ""]
-                else:
-                    _, trap, mw, closed, mark = row
-                    cells += [_fmt(trap), _fmt(mw) + ("*" if closed else ""), "x" if mark else ""]
-            print(",".join(cells), file=buf)
-        return buf.getvalue()
 
     buf = io.StringIO()
     width = 12

@@ -117,7 +117,6 @@ class RocCurveGrid:
 
     grid: FprGrid
     tpr: NDArray[np.float64]
-    label: str = ""
 
     def __post_init__(self):
         r = np.asarray(self.tpr, dtype=float)
@@ -138,7 +137,6 @@ def empirical_roc(
     dataset: LabeledDataset,
     grid: FprGrid,
     interpolate: bool = True,
-    label: str = "empirical",
 ) -> RocCurveGrid:
     """Empirical ROC curve resampled onto `grid`.
 
@@ -162,7 +160,7 @@ def empirical_roc(
         allowed = np.floor(t * x.size + 1e-12).astype(int)
         c = x[::-1][np.minimum(allowed, x.size - 1)].astype(float)
         c[allowed >= x.size] = -np.inf
-    return RocCurveGrid(grid, _tpr_rows(y[None], c[None], t)[0], label)
+    return RocCurveGrid(grid, _tpr_rows(y[None], c[None], t)[0])
 
 
 def empirical_roc_points(dataset: LabeledDataset):
@@ -188,12 +186,7 @@ def empirical_roc_points(dataset: LabeledDataset):
     return thresholds, fpr, tpr
 
 
-def functional_roc(
-    f_model: GmmModel,
-    g_model: GmmModel,
-    grid: FprGrid,
-    label: str = "mixture",
-) -> RocCurveGrid:
+def functional_roc(f_model: GmmModel, g_model: GmmModel, grid: FprGrid) -> RocCurveGrid:
     """Model-based curve R(t) = Gbar(Fbar^{-1}(t)) on the grid.
 
     Endpoints are fixed to (0, 0) and (1, 1). Interior points invert the
@@ -206,7 +199,7 @@ def functional_roc(
     r = (t >= 1.0).astype(float)
     interior = (t > 0.0) & (t < 1.0)
     r[interior] = survival(g_model, survival_inverse(f_model, t[interior]))
-    return RocCurveGrid(grid, np.maximum.accumulate(r), label)
+    return RocCurveGrid(grid, np.maximum.accumulate(r))
 
 
 def auc_trapezoid(curve: RocCurveGrid) -> float:

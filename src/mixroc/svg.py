@@ -16,6 +16,7 @@ PALETTE = {
     "binormal": "#c04040",
     "mg": "#2060c0",
     "band": "#9ec3e8",
+    "histogram": "#5b8db8",
 }
 
 
@@ -104,10 +105,10 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"])
 
 
-def histogram_svg(scores, title: str, bins: int = 30, color: str = "#5b8db8") -> str:
-    """Density-scaled histogram of one population's scores."""
+def histogram_svg(scores, title: str) -> str:
+    """Density-scaled 30-bin histogram of one population's scores."""
     scores = np.asarray(scores, dtype=float)
-    counts, edges = np.histogram(scores, bins=bins)
+    counts, edges = np.histogram(scores, bins=30)
     density = counts / (counts.sum() * np.diff(edges))
     top = float(density.max()) * 1.08 if density.max() > 0 else 1.0
     canvas = _Canvas(float(edges[0]), float(edges[-1]), 0.0, top)
@@ -119,7 +120,7 @@ def histogram_svg(scores, title: str, bins: int = 30, color: str = "#5b8db8") ->
         y0, y1 = canvas.py(0.0), canvas.py(float(d))
         canvas.add(
             f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{x1 - x0:.2f}" height="{y0 - y1:.2f}" '
-            f'fill="{color}" stroke="white" stroke-width="0.5"/>'
+            f'fill="{PALETTE["histogram"]}" stroke="white" stroke-width="0.5"/>'
         )
     x_ticks = np.linspace(edges[0], edges[-1], 5)
     y_ticks = np.linspace(0.0, top, 5)
@@ -127,14 +128,14 @@ def histogram_svg(scores, title: str, bins: int = 30, color: str = "#5b8db8") ->
     return canvas.render()
 
 
-def roc_overlay_svg(curves, band=None, title: str = "ROC curves") -> str:
+def roc_overlay_svg(curves, band=None) -> str:
     """Overlay plot of ROC curves on the unit square.
 
     curves: iterable of (label, fpr, tpr); band: optional (fpr, lower,
     upper) drawn as a shaded region behind the curves.
     """
     canvas = _Canvas(0.0, 1.0, 0.0, 1.0)
-    canvas.title(title)
+    canvas.title("ROC curves")
     if band is not None:
         t, lo, hi = band
         xs = np.concatenate([t, t[::-1]])

@@ -89,9 +89,8 @@ class TestLoadDataset:
 
     def test_custom_columns_and_labels(self, tmp_path):
         p = tmp_path / "c.csv"
-        p.write_text("v,grp\n1,ctl\n2,ctl\n3,case\n4,case\n")
-        ds = load_dataset(p, score_col="v", label_col="grp",
-                          non_diseased_label="ctl", diseased_label="case")
+        p.write_text("v,grp\n1,0\n2,0\n3,1\n4,1\n")
+        ds = load_dataset(p, score_col="v", label_col="grp")
         assert list(ds.non_diseased.scores) == [1.0, 2.0]
         assert list(ds.diseased.scores) == [3.0, 4.0]
 
@@ -134,6 +133,14 @@ class TestTwoFileMode:
         d.write_text("1.0\n2.0\n")
         with pytest.raises(DatasetError, match="not found"):
             load_two_files(tmp_path / "absent.txt", d)
+
+    def test_too_few_scores_names_file(self, tmp_path):
+        nd = tmp_path / "a.txt"
+        d = tmp_path / "one_line.txt"
+        nd.write_text("1.0\n2.0\n")
+        d.write_text("3.0\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{d}: a population needs at least 2")):
+            load_two_files(nd, d)
 
 
 class TestGrid:

@@ -42,6 +42,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="replicate_n_x"):
             MgConfig(replicate_n_x=1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            MgConfig(seed=-1)
+
 
 class TestRunMg:
     def test_identical_populations_give_chance_curve(self):
@@ -100,7 +104,7 @@ class TestRunMg:
             assert default.auc_mann_whitney_mean == blocked.auc_mann_whitney_mean
 
     def test_mean_is_smoother_than_replicates(self):
-        res = run_mg(F_STD, G_SHIFT3, small_config(m=300), keep_replicates=True)
+        res = run_mg(F_STD, G_SHIFT3, small_config(m=300))
 
         def roughness(v):
             return float(np.sum(np.abs(np.diff(np.diff(v)))))
@@ -108,10 +112,9 @@ class TestRunMg:
         replicate_avg = np.mean([roughness(row) for row in res.replicate_matrix])
         assert roughness(res.mean_curve.tpr) < replicate_avg
 
-    def test_replicate_matrix_only_kept_on_request(self):
-        assert run_mg(F_STD, G_SHIFT3, small_config()).replicate_matrix is None
-        kept = run_mg(F_STD, G_SHIFT3, small_config(), keep_replicates=True)
-        assert kept.replicate_matrix.shape == (200, GRID.count)
+    def test_replicate_matrix_always_returned(self):
+        res = run_mg(F_STD, G_SHIFT3, small_config())
+        assert res.replicate_matrix.shape == (200, GRID.count)
 
     def test_ci_width_shrinks_like_sqrt_m(self):
         base = dict(seed=3, grid=GRID, replicate_n_x=100, replicate_n_y=100)
@@ -250,7 +253,7 @@ def test_run_mg_matches_per_replicate_loop():
     half = ndtri(1.0 - config.alpha / 2.0) * se / np.sqrt(config.m)
     env_lower, env_upper = np.quantile(curves, [config.alpha / 2.0, 1.0 - config.alpha / 2.0], axis=0)
 
-    res = run_mg(f, g, config, keep_replicates=True)
+    res = run_mg(f, g, config)
     np.testing.assert_array_equal(res.replicate_matrix, curves)
     np.testing.assert_array_equal(res.auc_samples, aucs)
     assert res.auc_mann_whitney_mean == float(np.mean(mws))

@@ -76,10 +76,6 @@ class TestEmpiricalRoc:
         step = empirical_roc(ds, grid, interpolate=False)
         np.testing.assert_allclose(smooth.tpr, step.tpr, atol=1e-12)
 
-    def test_label(self):
-        ds = from_arrays([1, 2], [3, 4])
-        assert empirical_roc(ds, GRID).label == "empirical"
-
 
 class TestOperatingPoints:
     def test_three_point_example(self):
