@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .datasets import FprGrid, LabeledDataset
-from .roc import RocCurveGrid
+from .roc import RocCurveGrid, _pinned_curve
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,7 @@ def fit_binormal(dataset: LabeledDataset) -> BinormalParams:
 
 def binormal_curve(params: BinormalParams, grid: FprGrid) -> RocCurveGrid:
     """R(t) = Phi(a + b Phi^{-1}(t)) on the grid, endpoints pinned to (0,0), (1,1)."""
-    t = grid.points
-    r = np.empty_like(t)
-    interior = (t > 0.0) & (t < 1.0)
-    r[interior] = ndtr(params.a + params.b * ndtri(t[interior]))
-    r[t <= 0.0] = 0.0
-    r[t >= 1.0] = 1.0
-    return RocCurveGrid(grid, r)
+    return _pinned_curve(grid, lambda t: ndtr(params.a + params.b * ndtri(t)))
 
 
 def binormal_auc(params: BinormalParams) -> float:

@@ -33,7 +33,7 @@ from .datasets import (
 )
 from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline
 from .gmm import EM_TOL, EmCollapseError, EmConfig
-from .report import Report, compare_table
+from .report import ESTIMATORS, Report, compare_table
 from .roc import (
     RocCurveGrid,
     _check_pauc_interval,
@@ -50,7 +50,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-ESTIMATORS = ("empirical", "binormal", "mg")
 REPORT_FORMATS = ("json", "csv", "table")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,14 +164,18 @@ def _parse_score(text: str, path: Path, line: int) -> float:
     return score
 
 
-def _open_input(path: Path):
-    """Open an input file for reading as text, newlines untranslated for csv."""
+def _open_input(path: Path) -> io.StringIO:
+    """The text of an input file, newlines untranslated for csv.
+
+    The one place input is decoded: as UTF-8, with or without a byte-order mark."""
     if not path.is_file():
         raise DatasetError(f"input file not found: {path}")
     try:
-        return path.open(newline="")
+        return io.StringIO(path.read_bytes().decode("utf-8-sig"), newline="")
     except OSError as exc:  # unreadable input is an ingestion error
         raise DatasetError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_dataset(

@@ -39,9 +39,10 @@ _BLOCK_SCORES = 2**14
 class MgConfig:
     """Ensemble settings: M replicates, band level, replicate sizes, FPR grid, seed.
 
-    `replicate_n_x` / `replicate_n_y` default to the observed sample sizes
-    (resolved by :func:`mg_pipeline`). `grid`, 512 uniform points by
-    default, is the one grid of a CLI run, shared by every estimator.
+    `replicate_n_x` / `replicate_n_y` default to the observed sample sizes,
+    filled in by :func:`mg_pipeline`; :func:`run_mg` needs them set.
+    `grid`, 512 uniform points by default, is the one grid of a CLI run,
+    shared by every estimator.
     """
 
     m: int = 1000
@@ -85,19 +86,6 @@ class MgEnsembleResult:
         return int(self.auc_samples.size)
 
 
-def _resolve(config: MgConfig, dataset: LabeledDataset | None) -> MgConfig:
-    updates = {}
-    if config.replicate_n_x is None:
-        if dataset is None:
-            raise ValueError("replicate_n_x not set and no dataset to take it from")
-        updates["replicate_n_x"] = dataset.n_x
-    if config.replicate_n_y is None:
-        if dataset is None:
-            raise ValueError("replicate_n_y not set and no dataset to take it from")
-        updates["replicate_n_y"] = dataset.n_y
-    return replace(config, **updates) if updates else config
-
-
 def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsembleResult:
     """Generate and average the ensemble of replica ROC curves.
 
@@ -111,7 +99,10 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     index, so they do not depend on the block size. The M x grid matrix
     of replicate curves is returned as `replicate_matrix`.
     """
-    config = _resolve(config, None)
+    if config.replicate_n_x is None or config.replicate_n_y is None:
+        raise ValueError(
+            "replicate_n_x and replicate_n_y must be set; mg_pipeline fills them from the dataset"
+        )
     grid = config.grid
     t = grid.points
     m, n_x, n_y = config.m, config.replicate_n_x, config.replicate_n_y
@@ -179,6 +170,7 @@ def mg_pipeline(
     """
     f_model = select_k(dataset.non_diseased, em_config)
     g_model = select_k(dataset.diseased, replace(em_config, seed=em_config.seed + 500_000))
-    config = _resolve(mg_config, dataset)
+    config = replace(mg_config, replicate_n_x=mg_config.replicate_n_x or dataset.n_x,
+                     replicate_n_y=mg_config.replicate_n_y or dataset.n_y)
     result = run_mg(f_model, g_model, config)
     return f_model, g_model, result

@@ -8,6 +8,7 @@ variance is clamped to a floor derived from the data range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,9 +48,9 @@ class GmmModel:
     n_train: int = 0
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
-        mu = np.atleast_1d(np.asarray(self.means, dtype=float)).copy()
-        var = np.atleast_1d(np.asarray(self.variances, dtype=float)).copy()
+        w = np.array(self.weights, dtype=float, ndmin=1)
+        mu = np.array(self.means, dtype=float, ndmin=1)
+        var = np.array(self.variances, dtype=float, ndmin=1)
         if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size < 1:
             raise ValueError("weights, means and variances must share one length K >= 1")
         if not np.all(np.isfinite([w, mu, var])):
@@ -275,26 +276,33 @@ def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
     return best_model
 
 
+def _elementwise(func):
+    """The one shape rule of :func:`pdf`, :func:`survival` and :func:`survival_inverse`:
+    `func` sees the input flat, and gives an array of its shape, or a float for a scalar."""
+
+    @functools.wraps(func)
+    def apply(model: GmmModel, values):
+        v = np.asarray(values, dtype=float)
+        out = func(model, v.ravel()).reshape(v.shape)
+        return float(out) if out.ndim == 0 else out
+
+    return apply
+
+
+@_elementwise
 def pdf(model: GmmModel, x):
     """Mixture density sum_k pi_k * phi(x | mu_k, var_k), elementwise."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     z2 = (x[:, None] - model.means[None, :]) ** 2 / model.variances[None, :]
     dens = np.exp(-0.5 * z2) / (np.sqrt(2.0 * np.pi) * model.sigmas[None, :])
-    out = dens @ model.weights
-    return float(out[0]) if scalar else out
+    return dens @ model.weights
 
 
+@_elementwise
 def survival(model: GmmModel, c):
-    """Upper-tail probability P(X > c) = sum_k pi_k * Q((c - mu_k)/sigma_k)."""
-    c = np.asarray(c, dtype=float)
-    scalar = c.ndim == 0
-    c = np.atleast_1d(c)
+    """Upper-tail probability P(X > c) = sum_k pi_k * Q((c - mu_k)/sigma_k), elementwise."""
     z = (c[:, None] - model.means[None, :]) / model.sigmas[None, :]
     # erfc keeps full relative accuracy in the far upper tail
-    out = 0.5 * erfc(z / np.sqrt(2.0)) @ model.weights
-    return float(out[0]) if scalar else out
+    return 0.5 * erfc(z / np.sqrt(2.0)) @ model.weights
 
 
 def _log_tail(model: GmmModel, c: NDArray[np.float64], sign: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -307,6 +315,7 @@ def _log_tail(model: GmmModel, c: NDArray[np.float64], sign: NDArray[np.float64]
     return logsumexp(log_ndtr(sign[:, None] * z) + np.log(model.weights)[None, :], axis=1)
 
 
+@_elementwise
 def survival_inverse(model: GmmModel, t):
     """Threshold c with survival(model, c) = t, for every t in (0, 1).
 
@@ -322,27 +331,23 @@ def survival_inverse(model: GmmModel, t):
     for t down to 1e-12 on well-conditioned mixtures; near a variance-floor
     spike it is limited by the spacing of floats in c instead.
     """
-    t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     if not np.all(inside):
-        raise ValueError(f"t must be inside (0, 1), got {t[~inside].flat[0]}")
-    flat = t.ravel()
-    spread = model.sigmas[None, :] * ndtri(flat)[:, None]
+        raise ValueError(f"t must be inside (0, 1), got {t[~inside][0]}")
+    spread = model.sigmas[None, :] * ndtri(t)[:, None]
     c_k = model.means[None, :] - spread
     # a few ulps of the largest term in mu_k - sigma_k * z cover its rounding
     pad = 4.0 * np.finfo(float).eps * np.max(np.abs(model.means) + np.abs(spread), axis=1)
-    upper = flat > 0.5
+    upper = t > 0.5
     sign = np.where(upper, 1.0, -1.0)
-    target = np.where(upper, np.log1p(-flat), np.log(flat))
+    target = np.where(upper, np.log1p(-t), np.log(t))
 
     def gap(c, sign, target):
         # increasing in c on both sides: -(log survival - log t) below 1/2,
         # log CDF - log(1 - t) above
         return sign * (_log_tail(model, c, sign) - target)
 
-    res = find_root(gap, (c_k.min(axis=1) - pad, c_k.max(axis=1) + pad), args=(sign, target))
-    c = res.x.reshape(t.shape)
-    return float(c) if c.ndim == 0 else c
+    return find_root(gap, (c_k.min(axis=1) - pad, c_k.max(axis=1) + pad), args=(sign, target)).x
 
 
 def sample_from(

@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 SCHEMA_VERSION = 1
+# every estimator a run can select, in the order reports and tables list them
+ESTIMATORS = ("empirical", "binormal", "mg")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def _rows_for(report: Report):
         best = min(distances.values())
         marked = {name for name, d in distances.items() if np.isclose(d, best, rtol=0.0, atol=1e-12)}
     rows = []
-    for name in ("empirical", "binormal", "mg"):
+    for name in ESTIMATORS:
         if name not in est:
             continue
         entry = est[name]
@@ -97,11 +99,8 @@ def compare_table(reports: list[Report]) -> str:
         raise ValueError("compare_table needs at least one report")
     per_report = [_rows_for(r) for r in reports]
     names = [r.dataset.get("source_name", f"dataset {i}") for i, r in enumerate(reports)]
-    estimators: list[str] = []
-    for rows, _ in per_report:
-        for row in rows:
-            if row[0] not in estimators:
-                estimators.append(row[0])
+    present = {row[0] for rows, _ in per_report for row in rows}
+    estimators = [name for name in ESTIMATORS if name in present]
 
     buf = io.StringIO()
     width = 12

@@ -10,7 +10,9 @@ can be compared pointwise. Two empirical constructions are provided:
 
 Row kernels over (rows, n) blocks of sorted scores do the curve and AUC
 arithmetic: the single-study functions are their one-row case, and
-:mod:`mixroc.ensemble` calls them on blocks of replicates.
+:mod:`mixroc.ensemble` calls them on blocks of replicates. They count
+scores with `np.searchsorted`, row by row. The functional and binormal
+model curves pin their endpoints by one rule.
 """
 
 from __future__ import annotations
@@ -52,23 +54,9 @@ def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
     return np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma)
 
 
-def _merge_order(first: NDArray[np.float64], second: NDArray[np.float64]) -> NDArray[np.intp]:
-    """Stable row-wise sort order of [first | second]: on ties, `first`'s entries come first."""
-    return np.argsort(np.concatenate([first, second], axis=1), axis=1, kind="stable")
-
-
 def _count_le(sorted_rows: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.intp]:
-    """`np.searchsorted(sorted_rows[i], values[i], side="right")` for every row i.
-
-    In the merge a score tied with a value sorts before it, so the scores
-    at or before a value's slot are exactly those <= the value.
-    """
-    n = sorted_rows.shape[1]
-    order = _merge_order(sorted_rows, values)
-    scores_so_far = np.cumsum(order < n, axis=1)
-    slot = np.empty_like(order)
-    np.put_along_axis(slot, order, np.arange(order.shape[1]), axis=1)
-    return np.take_along_axis(scores_so_far, slot[:, n:], axis=1)
+    """#{scores <= v} for each value v of every row: `np.searchsorted(side="right")` per row."""
+    return np.array([np.searchsorted(row, v, side="right") for row, v in zip(sorted_rows, values)])
 
 
 def _tpr_rows(
@@ -94,16 +82,12 @@ def _trapezoid_rows(r: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[n
 def _mann_whitney_rows(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
     """Per-row midrank Mann-Whitney AUC of sorted rows x (non-diseased) and y.
 
-    U = sum_j #{x < y_j} + #{x = y_j}/2 = (sum_j #{x <= y_j} + sum_j #{x < y_j}) / 2.
-    In a merge of the sorted rows, y_j lands after the j earlier y's and
-    after #{x <= y_j} x's when x sorts first on ties, #{x < y_j} when y
-    does; so both sums are slot sums, integers, and ties stay exact midranks.
+    2U = sum_j #{x <= y_j} + sum_j #{x < y_j}, and the pairs with x < y are
+    the n*m pairs less those with y <= x. Both sums are integer counts, so
+    ties stay exact midranks.
     """
     n, m = x.shape[1], y.shape[1]
-    slots = np.arange(n + m)
-    le_slots = (_merge_order(x, y) >= n) @ slots
-    lt_slots = (_merge_order(y, x) < m) @ slots
-    twice_u = le_slots + lt_slots - m * (m - 1)
+    twice_u = _count_le(x, y).sum(axis=1) + n * m - _count_le(y, x).sum(axis=1)
     return twice_u / 2.0 / (n * m)
 
 
@@ -186,6 +170,16 @@ def empirical_roc_points(dataset: LabeledDataset):
     return thresholds, fpr, tpr
 
 
+def _pinned_curve(grid: FprGrid, interior) -> RocCurveGrid:
+    """The one endpoint rule of the model curves: R = 0 at t <= 0, R = 1 at t >= 1,
+    and `interior(t)` at the grid points strictly between."""
+    t = grid.points
+    r = (t >= 1.0).astype(float)
+    inside = (t > 0.0) & (t < 1.0)
+    r[inside] = interior(t[inside])
+    return RocCurveGrid(grid, r)
+
+
 def functional_roc(f_model: GmmModel, g_model: GmmModel, grid: FprGrid) -> RocCurveGrid:
     """Model-based curve R(t) = Gbar(Fbar^{-1}(t)) on the grid.
 
@@ -195,11 +189,9 @@ def functional_roc(f_model: GmmModel, g_model: GmmModel, grid: FprGrid) -> RocCu
     relative to min(t, 1 - t): for single Gaussians it is within 1e-13
     of the closed form, relatively, from t = 1e-10 to 1 - 1e-10.
     """
-    t = grid.points
-    r = (t >= 1.0).astype(float)
-    interior = (t > 0.0) & (t < 1.0)
-    r[interior] = survival(g_model, survival_inverse(f_model, t[interior]))
-    return RocCurveGrid(grid, np.maximum.accumulate(r))
+    return _pinned_curve(
+        grid, lambda t: np.maximum.accumulate(survival(g_model, survival_inverse(f_model, t)))
+    )
 
 
 def auc_trapezoid(curve: RocCurveGrid) -> float:
@@ -219,7 +211,7 @@ def auc_trapezoid_points(fpr, tpr) -> float:
 def auc_mann_whitney(dataset: LabeledDataset) -> float:
     """Mann-Whitney AUC: P(Y > X) + 0.5 P(Y = X), via midranks.
 
-    O((n+m) log(n+m)) through a merge of the sorted samples, not the pair sum.
+    O((n+m) log(n+m)) by binary search in the sorted samples, not the pair sum.
     """
     x = dataset.non_diseased.scores
     y = dataset.diseased.scores

@@ -101,6 +101,19 @@ class TestLoadDataset:
         back = load_dataset(out)
         assert sorted(back.to_rows()) == sorted(ds.to_rows())
 
+    def test_byte_order_mark(self, tmp_path):
+        p = tmp_path / "excel.csv"
+        p.write_bytes(b"\xef\xbb\xbfscore,label\r\n1.5,0\r\n0.5,0\r\n2.5,1\r\n3.5,1\r\n")
+        ds = load_dataset(p)
+        assert list(ds.non_diseased.scores) == [0.5, 1.5]
+        assert list(ds.diseased.scores) == [2.5, 3.5]
+
+    def test_undecodable_byte_names_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"score,label\n1.0,0\n2.0,0\n\xff3.0,1\n4.0,1\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{p}: ")):
+            load_dataset(p)
+
 
 class TestTwoFileMode:
     def test_load(self, tmp_path):
@@ -141,6 +154,15 @@ class TestTwoFileMode:
         d.write_text("3.0\n")
         with pytest.raises(DatasetError, match=re.escape(f"{d}: a population needs at least 2")):
             load_two_files(nd, d)
+
+    def test_byte_order_mark(self, tmp_path):
+        nd = tmp_path / "a.txt"
+        d = tmp_path / "b.txt"
+        nd.write_bytes(b"\xef\xbb\xbf1.5\n0.5\n")
+        d.write_bytes(b"\xef\xbb\xbf3.0\r\n4.0\r\n")
+        ds = load_two_files(nd, d)
+        assert list(ds.non_diseased.scores) == [0.5, 1.5]
+        assert list(ds.diseased.scores) == [3.0, 4.0]
 
 
 class TestGrid:

@@ -46,6 +46,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             MgConfig(seed=-1)
 
+    def test_run_mg_needs_replicate_sizes(self):
+        for sizes in ({}, {"replicate_n_x": 10}, {"replicate_n_y": 10}):
+            with pytest.raises(ValueError, match="mg_pipeline"):
+                run_mg(F_STD, G_SHIFT3, MgConfig(m=2, grid=GRID, **sizes))
+
 
 class TestRunMg:
     def test_identical_populations_give_chance_curve(self):

@@ -137,6 +137,14 @@ class TestPdf:
         xs = rng.uniform(-20, 20, 200)
         assert np.all(pdf(model, xs) >= 0)
 
+    def test_array_keeps_shape(self):
+        model = GmmModel([0.5, 0.5], [0.0, 3.0], [1.0, 1.0])
+        x = np.array([[0.0, 3.0], [1.0, 1.0]])
+        out = pdf(model, x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        for xi, oi in zip(x.ravel(), out.ravel()):
+            assert oi == pdf(model, float(xi))
+
 
 class TestSurvival:
     def test_symmetric_mixture_at_zero(self):
@@ -169,6 +177,14 @@ class TestSurvival:
         for c in rng.uniform(model.means.min() - 2, model.means.max() + 2, 20):
             mass, _ = quad(lambda v: pdf(model, v), lo, c, limit=200)
             assert survival(model, c) == pytest.approx(1.0 - mass, abs=1e-8)
+
+    def test_array_keeps_shape(self):
+        model = GmmModel([0.5, 0.5], [0.0, 3.0], [1.0, 1.0])
+        c = np.array([[0.0, 3.0], [1.0, 1.0]])
+        out = survival(model, c)
+        assert isinstance(out, np.ndarray) and out.shape == c.shape
+        for ci, oi in zip(c.ravel(), out.ravel()):
+            assert oi == survival(model, float(ci))
 
 
 class TestSurvivalInverse:

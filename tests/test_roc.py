@@ -182,6 +182,19 @@ class TestFunctionalRoc:
         assert curve.tpr[0] == 0.0
         assert curve.tpr[-1] == 1.0
 
+    def test_grid_without_endpoints_pins_nothing(self):
+        from mixroc.binormal import BinormalParams, binormal_curve
+
+        grid = FprGrid(np.linspace(0.013, 0.97, 77))
+        f = GmmModel([1.0], [0.0], [1.0])
+        g = GmmModel([1.0], [1.5], [0.25])
+        params = BinormalParams(a=3.0, b=2.0, mu_n=0.0, sigma_n=1.0, mu_d=1.5, sigma_d=0.5)
+        curve = functional_roc(f, g, grid)
+        reference = binormal_curve(params, grid)
+        np.testing.assert_allclose(curve.tpr, reference.tpr, rtol=0.0, atol=1e-12)
+        for r in (curve.tpr, reference.tpr):
+            assert np.all((r > 0.0) & (r < 1.0))
+
 
 class TestAucTrapezoid:
     def test_chance_diagonal(self):
