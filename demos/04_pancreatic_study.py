@@ -15,11 +15,13 @@ from pathlib import Path
 from mixroc import EmConfig, MgConfig, compare_table
 from mixroc.cli import RunConfig, run
 
+DATA = Path(__file__).resolve().parent.parent / "data" / "wieand_pancreatic.csv"
+
 reports = []
 for marker, label in (("ca125", "CA 125"), ("ca199", "CA 19-9")):
     out_dir = Path(f"demo_pancreatic_{marker}")
     config = RunConfig(
-        input_path="data/wieand_pancreatic.csv",
+        input_path=str(DATA),
         score_col=marker,
         label_col="status",
         em=EmConfig(seed=0),

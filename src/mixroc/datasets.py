@@ -117,6 +117,7 @@ class FprGrid:
 DEFAULT_GRID_SIZE = 512
 # smallest FPR of make_refined_grid's geometric ladder, and 1 - it the largest
 _REFINED_EDGE = 1e-10
+_REFINED_EDGE_POINTS = 256  # ladder points at each end
 
 
 def make_uniform_grid(count: int = DEFAULT_GRID_SIZE) -> FprGrid:
@@ -126,7 +127,7 @@ def make_uniform_grid(count: int = DEFAULT_GRID_SIZE) -> FprGrid:
     return FprGrid(np.linspace(0.0, 1.0, count))
 
 
-def make_refined_grid(count: int = 4096, edge_points: int = 256) -> FprGrid:
+def make_refined_grid(count: int = 4096) -> FprGrid:
     """Uniform grid with geometric refinement toward both endpoints.
 
     Curves like Phi(a + b Phi^{-1}(t)) are extremely steep next to t=0 and
@@ -134,13 +135,11 @@ def make_refined_grid(count: int = 4096, edge_points: int = 256) -> FprGrid:
     quadrature resolve the corners that a uniform grid of the same size
     cannot.
     """
-    if count < 2:
-        raise ValueError(f"grid count must be >= 2, got {count}")
-    core_count = count - 2 * edge_points
+    core_count = count - 2 * _REFINED_EDGE_POINTS
     if core_count < 2:
-        raise ValueError("count too small for the requested edge refinement")
+        raise ValueError(f"count {count} too small for the edge refinement")
     core = np.linspace(0.0, 1.0, core_count)
-    ladder = np.geomspace(_REFINED_EDGE, core[1], edge_points + 1)[:-1]
+    ladder = np.geomspace(_REFINED_EDGE, core[1], _REFINED_EDGE_POINTS + 1)[:-1]
     points = np.unique(np.concatenate([core, ladder, 1.0 - ladder]))
     return FprGrid(points)
 

@@ -5,10 +5,10 @@ the fitted mixtures and computes its empirical ROC on the shared grid
 and its AUCs with the row kernels of :mod:`mixroc.roc`, the same ones
 behind the single-study functions. The ensemble mean is the curve
 estimate; per-point standard errors give a mean confidence band,
-pointwise quantiles give an envelope band. Replicate RNG streams are spawned per index from the master seed,
-and replicates are reduced in blocks of rows whose arithmetic does not
-depend on which rows share a block, so the same seed gives bit-identical
-results for any block size or execution order.
+pointwise quantiles give an envelope band. Replicate l draws from the
+stream (l,) of the master seed. Replicates are reduced in blocks of rows
+whose arithmetic does not depend on which rows share a block, so the same
+seed gives bit-identical results for any block size or execution order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from scipy.special import ndtri
 
 from .datasets import FprGrid, LabeledDataset, PopulationTag, make_uniform_grid
-from .gmm import EmConfig, GmmModel, sample_from, select_k
+from .gmm import EmConfig, GmmModel, _stream, sample_from, select_k
 
 # auc_mann_whitney and empirical_roc stay importable here because
 # benchmarks/tracing.py wraps them on this module
@@ -89,10 +89,10 @@ class MgEnsembleResult:
 def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsembleResult:
     """Generate and average the ensemble of replica ROC curves.
 
-    Replicate l draws its two samples from an RNG stream spawned as child
-    l of the master seed. Replicates are processed in blocks of rows: the
-    sorted samples of a block fill two score matrices, and the row kernels
-    of :mod:`mixroc.roc` compute thresholds, TPR, trapezoid AUC and
+    Replicate l draws its two samples from the stream (l,) of the master
+    seed. Replicates are processed in blocks of rows: the sorted samples
+    of a block fill two score matrices, and the row kernels of
+    :mod:`mixroc.roc` compute thresholds, TPR, trapezoid AUC and
     Mann-Whitney AUC over the whole block, so each row equals
     :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
@@ -113,15 +113,13 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     curves = np.empty((m, grid.count))
     aucs = np.empty(m)
     mws = np.empty(m)
-    children = np.random.SeedSequence(config.seed).spawn(m)
-
     for start in range(0, m, block_rows):
         block = slice(start, min(start + block_rows, m))
-        for i, child in enumerate(children[block]):
-            rng = np.random.default_rng(child)
+        rows = block.stop - start
+        for i in range(rows):
+            rng = _stream(config.seed, start + i)
             x[i] = sample_from(f_model, n_x, rng, PopulationTag.NON_DISEASED).scores
             y[i] = sample_from(g_model, n_y, rng, PopulationTag.DISEASED).scores
-        rows = block.stop - start
         xb, yb = x[:rows], y[:rows]
         tpr = _tpr_rows(yb, _row_quantiles(xb, plan), t)
         curves[block] = tpr
@@ -169,7 +167,7 @@ def mg_pipeline(
     band width reflects the study's own sampling uncertainty.
     """
     f_model = select_k(dataset.non_diseased, em_config)
-    g_model = select_k(dataset.diseased, replace(em_config, seed=em_config.seed + 500_000))
+    g_model = select_k(dataset.diseased, em_config)
     config = replace(mg_config, replicate_n_x=mg_config.replicate_n_x or dataset.n_x,
                      replicate_n_y=mg_config.replicate_n_y or dataset.n_y)
     result = run_mg(f_model, g_model, config)

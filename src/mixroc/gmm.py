@@ -9,7 +9,7 @@ variance is clamped to a floor derived from the data range.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,8 +97,8 @@ class GmmModel:
 class EmConfig:
     """EM and model-selection settings: K range, iteration cap, restarts, seed.
 
-    The convergence tolerance is :data:`EM_TOL`. Every variance is clamped
-    to a floor derived from the data as 1e-6 * (sample range)^2.
+    EM stops at :data:`EM_TOL`; variances are floored at 1e-6 * (sample range)^2.
+    Each restart has its own stream, so adding a K or a restart changes no other.
     """
 
     k_min: int = 1
@@ -116,6 +116,16 @@ class EmConfig:
             raise ValueError("n_restarts must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The package's one generator factory: SeedSequence(seed, spawn_key=key).
+
+    key (population, K, r)  EM restart r at K components; population 0 non-diseased, 1 diseased
+    key (l,)                ensemble replicate l, child l of SeedSequence(seed)'s spawn
+    The key lengths differ, and seeds below 2**128 pad to four words: no two streams match.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _effective_floor(x: NDArray[np.float64]) -> float:
@@ -215,8 +225,8 @@ def fit_em(
     """Fit a k-component mixture by EM, best of `config.n_restarts` runs.
 
     The first restart seeds centers by a deterministic farthest-point pass;
-    later restarts draw centers from the data. Everything is deterministic
-    given `config.seed`.
+    later restarts draw centers from the data. Restart r draws from the
+    stream (population, k, r) of `config.seed`.
 
     Returns the :class:`GmmModel` with the highest final log-likelihood;
     with `return_trace` also the per-iteration log-likelihood trace of
@@ -228,25 +238,16 @@ def fit_em(
     if k > x.size:
         raise ValueError(f"k={k} exceeds the sample size {x.size}")
     floor = _effective_floor(x)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-
-    best = None
-    traces = []
-    for restart in range(config.n_restarts):
-        w, mu, var, ll, trace = _em_single(x, k, config, floor, rng, restart)
-        traces.append(trace)
-        if not np.isfinite(ll):
-            continue
-        if best is None or ll > best[3]:
-            best = (w, mu, var, ll)
-    if best is None:
+    population = int(sample.population_tag is PopulationTag.DISEASED)
+    runs = [_em_single(x, k, config, floor, _stream(config.seed, population, k, r), r)
+            for r in range(config.n_restarts)]
+    finite = [run for run in runs if np.isfinite(run[3])]
+    if not finite:
         raise EmCollapseError(f"all {config.n_restarts} EM restarts collapsed for k={k}")
-    w, mu, var, ll = best
+    w, mu, var, ll, _ = max(finite, key=lambda run: run[3])
     order = np.argsort(mu)  # canonical component order
     model = GmmModel(w[order], mu[order], var[order], log_likelihood=ll, n_train=int(x.size))
-    if return_trace:
-        return model, traces
-    return model
+    return (model, [run[4] for run in runs]) if return_trace else model
 
 
 def bic(model: GmmModel) -> float:
@@ -258,22 +259,14 @@ def bic(model: GmmModel) -> float:
 def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
     """Fit each K in [k_min, min(k_max, n)] and return the BIC minimizer.
 
-    Ties break toward smaller K. Each K gets an independent seed stream so
-    adding candidates never changes the fits of smaller ones.
+    Ties break toward smaller K. Each restart of each K draws from its own
+    stream, so adding a K or a restart never changes the other fits.
     """
     n = len(sample)
     if n < config.k_min:
         raise ValueError(f"sample size {n} is below k_min={config.k_min}")
-    best_model = None
-    best_bic = np.inf
-    for k in range(config.k_min, min(config.k_max, n) + 1):
-        model = fit_em(sample, k, replace(config, seed=config.seed + 1000 * k))
-        score = bic(model)
-        if score < best_bic:
-            best_model = model
-            best_bic = score
-    assert best_model is not None
-    return best_model
+    return min((fit_em(sample, k, config) for k in range(config.k_min, min(config.k_max, n) + 1)),
+               key=bic)
 
 
 def _elementwise(func):

@@ -108,7 +108,7 @@ class RocCurveGrid:
             raise ValueError(
                 f"tpr length {r.size} does not match grid count {self.grid.count}"
             )
-        if np.any(r < -_EDGE_TOL) or np.any(r > 1.0 + _EDGE_TOL):
+        if not np.all((r >= -_EDGE_TOL) & (r <= 1.0 + _EDGE_TOL)):
             raise ValueError("tpr values must lie in [0, 1]")
         if np.any(np.diff(r) < -_EDGE_TOL):
             raise ValueError("tpr must be non-decreasing along the grid")

@@ -204,7 +204,7 @@ class TestGrid:
 
     def test_refined_grid_rejects_tiny_count(self):
         with pytest.raises(ValueError):
-            make_refined_grid(100, edge_points=256)
+            make_refined_grid(100)
 
 
 def test_from_arrays_tags():

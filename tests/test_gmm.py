@@ -7,8 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from mixroc import gmm
-from mixroc.datasets import PopulationTag, ScoreSample, make_refined_grid
+from mixroc import ensemble, gmm
+from mixroc.datasets import (
+    PopulationTag, ScoreSample, from_arrays, make_refined_grid, make_uniform_grid,
+)
+from mixroc.ensemble import MgConfig, mg_pipeline
 from mixroc.gmm import (
     EmConfig,
     GmmModel,
@@ -352,6 +355,32 @@ def test_collapse_error_when_every_restart_diverges(monkeypatch):
     monkeypatch.setattr(gmm_mod, "_em_single", broken)
     with pytest.raises(gmm_mod.EmCollapseError, match="collapsed"):
         fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
+
+
+def test_every_stream_is_distinct(monkeypatch):
+    # one stream per EM restart (population, K, restart) and per replicate,
+    # also across seeds 0, 1000 and 500_000, which integer seed offsets would alias
+    em_states, replicate_states = [], []
+    em_single, draw = gmm._em_single, ensemble.sample_from
+
+    def recording_em(x, k, config, floor, rng, restart):
+        em_states.append(rng.bit_generator.state["state"]["state"])
+        return em_single(x, k, config, floor, rng, restart)
+
+    def recording_draw(model, n, rng, tag=PopulationTag.NON_DISEASED):
+        if tag is PopulationTag.NON_DISEASED:  # the first draw of a replicate
+            replicate_states.append(rng.bit_generator.state["state"]["state"])
+        return draw(model, n, rng, tag)
+
+    monkeypatch.setattr(gmm, "_em_single", recording_em)
+    monkeypatch.setattr(ensemble, "sample_from", recording_draw)
+    rng = np.random.default_rng(4)
+    study = from_arrays(rng.normal(0.0, 1.0, 40), rng.normal(1.0, 1.0, 40))
+    for seed in (0, 1000, 500_000):
+        mg_pipeline(study, EmConfig(k_max=3, n_restarts=2, max_iter=5, seed=seed),
+                    MgConfig(m=2, seed=seed, grid=make_uniform_grid(8)))
+    assert len(em_states) == 36 and len(set(em_states)) == 36
+    assert len(replicate_states) == 6 and not set(replicate_states) & set(em_states)
 
 
 class TestEmConfigValidation:

@@ -177,7 +177,7 @@ class TestCompareTable:
 
 
 class TestCliProcess:
-    def python(self, *args):
+    def python(self, *args, cwd=None):
         # the child imports the same mixroc as this process, installed or not
         package_root = str(Path(mixroc.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -186,6 +186,7 @@ class TestCliProcess:
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
+            cwd=cwd,
         )
 
     def cli(self, *args):
@@ -219,6 +220,12 @@ class TestCliProcess:
     def test_bad_pauc_spec_exits_2(self, tmp_path):
         proc = self.cli("--input", DATA, "--pauc", "zz", "--out", str(tmp_path))
         assert proc.returncode == EXIT_INPUT
+
+    def test_pancreatic_demo_runs_from_any_directory(self, tmp_path):
+        proc = self.python(str(ROOT / "demos" / "04_pancreatic_study.py"), cwd=tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for marker in ("ca125", "ca199"):
+            assert (tmp_path / f"demo_pancreatic_{marker}" / "report.json").is_file()
 
 
 class TestMainInProcess:

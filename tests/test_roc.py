@@ -40,6 +40,8 @@ class TestCurveValidation:
         g = make_uniform_grid(3)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             RocCurveGrid(g, np.array([0.0, 0.5, 1.2]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RocCurveGrid(g, np.array([0.0, np.nan, 1.0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
