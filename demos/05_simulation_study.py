@@ -7,16 +7,14 @@ at different disease stages). For each level the three estimators are
 compared side by side; the marker points at the non-empirical estimator
 closest to the empirical AUC.
 
-Uses the same run() entry point as the CLI, on temporary CSV files.
+Each study stays in memory and goes through `analyse`, the analysis the
+CLI runs on a loaded file, so the numbers are the CLI's numbers.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from mixroc import EmConfig, MgConfig, compare_table, save_dataset, from_arrays
-from mixroc.cli import RunConfig, run
+from mixroc import EmConfig, MgConfig, compare_table, from_arrays
+from mixroc.cli import RunConfig, analyse
 
 SCENARIOS = {
     "strong": dict(means=(2.2, 5.0), sds=(0.6, 1.0)),
@@ -25,23 +23,17 @@ SCENARIOS = {
 }
 
 reports = []
-with tempfile.TemporaryDirectory() as tmp:
-    for index, (name, params) in enumerate(SCENARIOS.items()):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(index,)))
-        x = rng.normal(0.0, 1.0, 150)
-        stage = rng.integers(0, 2, 150)
-        y = rng.normal(np.asarray(params["means"])[stage], np.asarray(params["sds"])[stage])
-        csv_path = Path(tmp) / f"{name}.csv"
-        save_dataset(from_arrays(x, y, name), csv_path)
+for index, (name, params) in enumerate(SCENARIOS.items()):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(index,)))
+    x = rng.normal(0.0, 1.0, 150)
+    stage = rng.integers(0, 2, 150)
+    y = rng.normal(np.asarray(params["means"])[stage], np.asarray(params["sds"])[stage])
 
-        report = run(RunConfig(
-            input_path=str(csv_path),
-            em=EmConfig(k_max=3, n_restarts=3, seed=index),
-            mg=MgConfig(m=500, seed=index),
-            out_dir=str(Path(tmp) / name),
-            reproducible=True,
-            source_name=name,
-        ))
-        reports.append(report)
+    report, _, _ = analyse(from_arrays(x, y, name), RunConfig(
+        em=EmConfig(k_max=3, n_restarts=3, seed=index),
+        mg=MgConfig(m=500, seed=index),
+        reproducible=True,
+    ))
+    reports.append(report)
 
 print(compare_table(reports))

@@ -18,7 +18,6 @@ from .datasets import (
     load_two_files,
     make_refined_grid,
     make_uniform_grid,
-    save_dataset,
 )
 from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline, run_mg
 from .gmm import (
@@ -83,7 +82,6 @@ __all__ = [
     "pdf",
     "run_mg",
     "sample_from",
-    "save_dataset",
     "select_k",
     "survival",
     "survival_inverse",

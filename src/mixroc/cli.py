@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Loads a labeled study, runs the selected estimators on one shared FPR
-grid, writes a report (json, csv or text table), per-curve CSVs, fitted
-model JSONs, optional SVG plots and an optional replicate-matrix dump.
+`analyse` runs the selected estimators on one shared FPR grid for a
+study in memory. `run` loads a study, analyses it and writes a report
+(json, csv or text table), per-curve CSVs, fitted model JSONs, optional
+SVG plots and an optional replicate-matrix dump.
 
 Exit statuses: 0 success, 2 input/validation error, 3 numerical failure,
 4 I/O error.
@@ -51,6 +52,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 REPORT_FORMATS = ("json", "csv", "table")
+PAUC_KEY = "{:g}:{:g}"  # report key of the pAUC interval (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -79,39 +81,59 @@ class RunConfig:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"duplicate estimators: {list(self.estimators)}")
         if self.report_format not in REPORT_FORMATS:
             raise ValueError(f"unknown report format {self.report_format!r}")
-        if self.input_path is None and (self.non_diseased_path is None or self.diseased_path is None):
-            raise ValueError("either --input or both --non-diseased and --diseased are required")
         for lo, hi in self.pauc_intervals:
             _check_pauc_interval(lo, hi)
+        keys = [PAUC_KEY.format(lo, hi) for lo, hi in self.pauc_intervals]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"pAUC intervals share a report key: {keys}")
 
 
 def _load(config: RunConfig) -> LabeledDataset:
+    """Read the study from the input paths; exactly one input mode must be given."""
+    two_files = (config.non_diseased_path, config.diseased_path)
     if config.input_path is not None:
+        if two_files != (None, None):
+            raise ValueError("--input cannot be combined with --non-diseased or --diseased")
         return load_dataset(
             config.input_path,
             score_col=config.score_col,
             label_col=config.label_col,
             source_name=config.source_name,
         )
-    return load_two_files(
-        config.non_diseased_path, config.diseased_path, source_name=config.source_name
-    )
+    if None in two_files:
+        raise ValueError("either --input or both --non-diseased and --diseased are required")
+    return load_two_files(*two_files, source_name=config.source_name)
 
 
 def run(config: RunConfig) -> Report:
-    """Execute one analysis run and write its outputs.
+    """Load the study, `analyse` it and write the outputs.
 
     Everything is computed before the first file is written, so a failed
     run leaves no partial outputs behind.
     """
     dataset = _load(config)
+    report, curves, mg_result = analyse(dataset, config)
+    _write_outputs(config, report, curves, mg_result, dataset)
+    return report
+
+
+def analyse(
+    dataset: LabeledDataset, config: RunConfig
+) -> tuple[Report, dict[str, RocCurveGrid], MgEnsembleResult | None]:
+    """Run the selected estimators on `dataset`; write nothing.
+
+    Reads only `estimators`, `em`, `mg`, `pauc_intervals` and
+    `reproducible` of the config. Returns the report, each estimator's
+    curve on the `mg.grid` and the ensemble result (None without "mg").
+    """
     grid = config.mg.grid
 
     curves: dict[str, RocCurveGrid] = {}
     estimators: dict[str, dict] = {}
-    models = None
     mg_result: MgEnsembleResult | None = None
 
     if "empirical" in config.estimators:
@@ -134,7 +156,6 @@ def run(config: RunConfig) -> Report:
         }
     if "mg" in config.estimators:
         f_model, g_model, mg_result = mg_pipeline(dataset, config.em, config.mg)
-        models = (f_model, g_model)
         curves["mg"] = mg_result.mean_curve
         estimators["mg"] = {
             "auc_trapezoidal": mg_result.auc_mean,
@@ -152,8 +173,8 @@ def run(config: RunConfig) -> Report:
 
     pauc_block = {}
     for lo, hi in config.pauc_intervals:
-        key = f"{lo:g}:{hi:g}"
-        pauc_block[key] = {name: pauc(curve, lo, hi) for name, curve in curves.items()}
+        pauc_block[PAUC_KEY.format(lo, hi)] = {
+            name: pauc(curve, lo, hi) for name, curve in curves.items()}
 
     settings = {
         "seed": config.mg.seed,
@@ -188,9 +209,7 @@ def run(config: RunConfig) -> Report:
         estimators=estimators,
         pauc=pauc_block,
     )
-
-    _write_outputs(config, report, curves, models, mg_result, dataset)
-    return report
+    return report, curves, mg_result
 
 
 def _repr_rows(rows):
@@ -205,7 +224,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
+def _write_outputs(config, report, curves, mg_result, dataset) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -241,18 +260,14 @@ def _write_outputs(config, report, curves, models, mg_result, dataset) -> None:
                 mg_result.env_upper,
             )),
         )
-
-    if models is not None:
-        f_model, g_model = models
-        (out / "model_non_diseased.json").write_text(json.dumps(f_model.to_json_dict()) + "\n")
-        (out / "model_diseased.json").write_text(json.dumps(g_model.to_json_dict()) + "\n")
-
-    if config.dump_replicates and mg_result is not None:
-        _write_csv(
-            out / "replicates.csv",
-            [repr(float(t)) for t in mg_result.mean_curve.grid.points],
-            _repr_rows(mg_result.replicate_matrix),
-        )
+        for population, model in report.estimators["mg"]["models"].items():
+            (out / f"model_{population}.json").write_text(json.dumps(model) + "\n")
+        if config.dump_replicates:
+            _write_csv(
+                out / "replicates.csv",
+                [repr(float(t)) for t in mg_result.mean_curve.grid.points],
+                _repr_rows(mg_result.replicate_matrix),
+            )
 
     if config.plots:
         (out / "histogram_non_diseased.svg").write_text(

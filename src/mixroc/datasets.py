@@ -86,12 +86,6 @@ class LabeledDataset:
     def n_y(self) -> int:
         return len(self.diseased)
 
-    def to_rows(self) -> list[tuple[float, int]]:
-        """All (score, label) pairs, label 0 = non-diseased, 1 = diseased."""
-        rows = [(float(s), 0) for s in self.non_diseased.scores]
-        rows += [(float(s), 1) for s in self.diseased.scores]
-        return rows
-
 
 @dataclass(frozen=True)
 class FprGrid:
@@ -185,10 +179,9 @@ def load_dataset(
 ) -> LabeledDataset:
     """Load a labeled CSV (header required) into a :class:`LabeledDataset`.
 
-    Label 0 marks a non-diseased score and 1 a diseased one, as
-    :func:`save_dataset` writes them. Every row must parse; any other label
-    or a non-numeric score is an error, so row count is conserved by
-    construction.
+    Label 0 marks a non-diseased score and 1 a diseased one. Every row
+    must parse; any other label or a non-numeric score is an error, so row
+    count is conserved by construction.
     """
     path = Path(path)
     xs: list[float] = []
@@ -236,12 +229,3 @@ def load_two_files(non_diseased_path, diseased_path, source_name: str | None = N
         read_sample(non_diseased_path, PopulationTag.NON_DISEASED),
         read_sample(diseased_path, PopulationTag.DISEASED),
     )
-
-
-def save_dataset(dataset: LabeledDataset, path, score_col: str = "score", label_col: str = "label") -> None:
-    """Write the dataset back out as a labeled CSV (used for round-trip checks)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([score_col, label_col])
-        for score, label in dataset.to_rows():
-            writer.writerow([repr(score), label])

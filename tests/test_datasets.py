@@ -16,7 +16,6 @@ from mixroc.datasets import (
     load_two_files,
     make_refined_grid,
     make_uniform_grid,
-    save_dataset,
 )
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "wieand_pancreatic.csv")
@@ -93,13 +92,6 @@ class TestLoadDataset:
         ds = load_dataset(p, score_col="v", label_col="grp")
         assert list(ds.non_diseased.scores) == [1.0, 2.0]
         assert list(ds.diseased.scores) == [3.0, 4.0]
-
-    def test_round_trip_conserves_rows(self, tmp_path):
-        ds = load_dataset(DATA, score_col="ca125", label_col="status")
-        out = tmp_path / "rt.csv"
-        save_dataset(ds, out)
-        back = load_dataset(out)
-        assert sorted(back.to_rows()) == sorted(ds.to_rows())
 
     def test_byte_order_mark(self, tmp_path):
         p = tmp_path / "excel.csv"

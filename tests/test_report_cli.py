@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +14,9 @@ import pytest
 
 import mixroc
 from mixroc.cli import (
-    EXIT_INPUT, EXIT_IO, EXIT_OK, RunConfig, build_parser, config_from_args, main, run,
+    EXIT_INPUT, EXIT_IO, EXIT_OK, RunConfig, analyse, build_parser, config_from_args, main, run,
 )
-from mixroc.datasets import make_uniform_grid
+from mixroc.datasets import load_dataset, make_uniform_grid
 from mixroc.ensemble import MgConfig
 from mixroc.gmm import EmConfig
 from mixroc.report import Report, compare_table
@@ -118,6 +118,25 @@ class TestRun:
             fast_config(tmp_path, estimators=("labroc",))
         with pytest.raises(ValueError, match="t_lo < t_hi"):
             fast_config(tmp_path, pauc_intervals=((0.5, 0.2),))
+        with pytest.raises(ValueError, match="duplicate estimators"):
+            fast_config(tmp_path, estimators=("empirical", "empirical", "binormal"))
+        with pytest.raises(ValueError, match="share a report key"):
+            fast_config(tmp_path, pauc_intervals=((0.1, 0.2), (0.1000001, 0.2)))
+
+
+class TestAnalyse:
+    def test_equals_run_and_writes_nothing(self, tmp_path, monkeypatch):
+        config = fast_config(tmp_path, out_dir="out", plots=True, dump_replicates=True,
+                             pauc_intervals=((0.0, 0.5),))
+        dataset = load_dataset(config.input_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        # a config without input paths is valid: analyse reads none
+        report, curves, mg_result = analyse(dataset, replace(config, input_path=None))
+        assert sorted(tmp_path.rglob("*")) == before
+        assert set(curves) == set(report.estimators)
+        assert mg_result.auc_mean == report.estimators["mg"]["auc_trapezoidal"]
+        assert report == run(config)
 
 
 class TestCompareTable:
@@ -243,6 +262,24 @@ class TestMainInProcess:
         ])
         assert code == 3
 
+    def test_no_input_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: either --input or both --non-diseased and --diseased are required\n"
+        )
+        assert not out.exists()
+
+    def test_input_with_two_file_flags_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "--input", DATA, "--score-col", "ca125", "--label-col", "status",
+            "--non-diseased", str(tmp_path / "absent"), "--diseased", str(tmp_path / "absent"),
+            "--estimators", "empirical", "--out", str(out),
+        ])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
     def test_mc_reps_below_two_exits_2(self, tmp_path):
         code = main([
             "--input", DATA, "--score-col", "ca125", "--label-col", "status",
@@ -287,10 +324,31 @@ def test_parser_defaults_are_config_defaults():
                 assert got == want, f"{part}.{f.name}"
 
 
-def test_tracer_targets_resolve():
-    # the benchmark tracer wraps these attributes; a rename must not orphan one
+def load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_resolve():
+    # the benchmark tracer wraps these attributes; a rename must not orphan one
+    tracing = load_tracing()
     for module, attr, _, _ in tracing.TARGETS:
         assert callable(getattr(tracing._resolve(module), attr, None)), f"{module}.{attr}"
+
+
+def test_tracer_sees_every_cli_call(tmp_path):
+    # the CLI targets are wrapped on mixroc.cli, so the run must call them there
+    import mixroc.cli as cli_mod
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:  # through the module attribute: a name imported before install is not wrapped
+        cli_mod.run(fast_config(tmp_path, plots=True, pauc_intervals=((0.0, 0.5),)))
+    finally:
+        tracer.remove()
+    recorded = {span[tracing.NAME] for span in tracer.spans}
+    expected = {name for module, _, name, _ in tracing.TARGETS if module == "mixroc.cli"}
+    assert expected <= recorded, sorted(expected - recorded)
