@@ -16,7 +16,7 @@ import csv
 import datetime
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -147,10 +147,11 @@ def analyse(
         params = fit_binormal(dataset)
         curve = binormal_curve(params, grid)
         curves["binormal"] = curve
+        auc = binormal_auc(params)
         estimators["binormal"] = {
             "auc_trapezoidal": auc_trapezoid(curve),
-            "auc_closed_form": binormal_auc(params),
-            "auc_mann_whitney": binormal_auc(params),
+            "auc_closed_form": auc,
+            "auc_mann_whitney": auc,
             "mann_whitney_is_closed_form": True,
             "params": params.to_json_dict(),
         }
@@ -181,14 +182,7 @@ def analyse(
         "m": config.mg.m,
         "alpha": config.mg.alpha,
         "grid_size": grid.count,
-        "em": {
-            "k_min": config.em.k_min,
-            "k_max": config.em.k_max,
-            "n_restarts": config.em.n_restarts,
-            "tol": EM_TOL,
-            "max_iter": config.em.max_iter,
-            "seed": config.em.seed,
-        },
+        "em": {**asdict(config.em), "tol": EM_TOL},
         "estimators": list(config.estimators),
         "versions": {
             "mixroc": __version__,

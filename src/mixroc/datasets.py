@@ -157,6 +157,14 @@ def _parse_score(text: str, path: Path, line: int) -> float:
     return score
 
 
+def _sample(scores, tag: PopulationTag, name: str, path: Path) -> ScoreSample:
+    """The sample of `scores` read from `path`; a rejection names the file."""
+    try:
+        return ScoreSample(scores, tag, name)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+
+
 def _open_input(path: Path) -> io.StringIO:
     """The text of an input file, newlines untranslated for csv.
 
@@ -195,20 +203,19 @@ def load_dataset(
                 raise DatasetError(
                     f"{path}: missing column {col!r} (found {reader.fieldnames})"
                 )
-        for i, row in enumerate(reader, start=2):
-            score = _parse_score((row[score_col] or "").strip(), path, i)
+        for row in reader:
+            line = reader.line_num  # the file's line: DictReader skips blank ones
+            score = _parse_score((row[score_col] or "").strip(), path, line)
             raw_label = (row[label_col] or "").strip()
             if raw_label == "0":
                 xs.append(score)
             elif raw_label == "1":
                 ys.append(score)
             else:
-                raise DatasetError(f"{path}:{i}: unknown label {raw_label!r}")
+                raise DatasetError(f"{path}:{line}: unknown label {raw_label!r}")
     name = source_name if source_name is not None else path.stem
-    try:
-        return from_arrays(xs, ys, name)
-    except DatasetError as exc:
-        raise DatasetError(f"{path}: {exc}") from None
+    return LabeledDataset(_sample(xs, PopulationTag.NON_DISEASED, name, path),
+                          _sample(ys, PopulationTag.DISEASED, name, path))
 
 
 def load_two_files(non_diseased_path, diseased_path, source_name: str | None = None) -> LabeledDataset:
@@ -219,11 +226,7 @@ def load_two_files(non_diseased_path, diseased_path, source_name: str | None = N
         path = Path(path)
         with _open_input(path) as fh:
             lines = enumerate(map(str.strip, fh.read().splitlines()), start=1)
-        scores = [_parse_score(line, path, i) for i, line in lines if line]
-        try:
-            return ScoreSample(scores, tag, name)
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: {exc}") from None
+        return _sample([_parse_score(line, path, i) for i, line in lines if line], tag, name, path)
 
     return LabeledDataset(
         read_sample(non_diseased_path, PopulationTag.NON_DISEASED),

@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from scipy.special import ndtri
 
 from .datasets import FprGrid, LabeledDataset, PopulationTag, make_uniform_grid
-from .gmm import EmConfig, GmmModel, _stream, sample_from, select_k
+from .gmm import EmConfig, GmmModel, _check_seed, _stream, sample_from, select_k
 
 # auc_mann_whitney and empirical_roc stay importable here because
 # benchmarks/tracing.py wraps them on this module
@@ -61,8 +61,7 @@ class MgConfig:
             val = getattr(self, name)
             if val is not None and val < 2:
                 raise ValueError(f"{name} must be >= 2, got {val}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

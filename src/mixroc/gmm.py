@@ -97,8 +97,9 @@ class GmmModel:
 class EmConfig:
     """EM and model-selection settings: K range, iteration cap, restarts, seed.
 
-    EM stops at :data:`EM_TOL`; variances are floored at 1e-6 * (sample range)^2.
-    Each restart has its own stream, so adding a K or a restart changes no other.
+    EM stops at :data:`EM_TOL` or after `max_iter` M-steps; a restart's trace holds one E-step
+    more than its M-steps. Variances are floored at 1e-6 * (sample range)^2. Each restart has
+    its own stream, so adding a K or a restart changes no other. `seed` lies in [0, 2**128).
     """
 
     k_min: int = 1
@@ -114,8 +115,15 @@ class EmConfig:
             raise ValueError("max_iter must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """The seed range of :func:`_stream`, checked by every config that holds a seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed >= 2**128:
+        raise ValueError(f"seed must be below 2**128, got {seed}")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -124,6 +132,7 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     key (population, K, r)  EM restart r at K components; population 0 non-diseased, 1 diseased
     key (l,)                ensemble replicate l, child l of SeedSequence(seed)'s spawn
     The key lengths differ, and seeds below 2**128 pad to four words: no two streams match.
+    A larger seed spills into the key words, so :func:`_check_seed` rejects it.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -172,22 +181,25 @@ def _log_components(x, weights, means, variances):
 def _em_single(x, k, config, floor, rng, restart):
     """One EM run; returns (weights, means, variances, ll, ll_trace).
 
-    The trace holds the log-likelihood at every E-step. EM guarantees it
-    is non-decreasing except across a degeneracy reset (a starved
-    component re-seeded on a random data point), so the trace is cleared
-    there and only the final monotone segment is reported.
+    At most `config.max_iter` M-steps, each between two E-steps, so ll is of the returned
+    parameters and the trace holds the log-likelihood at each E-step, one more than the
+    M-steps. EM keeps it non-decreasing except across a degeneracy reset (a starved
+    component re-seeded on a random data point), which clears it: only the final monotone
+    segment is reported.
     """
     n = x.size
     weights, means, variances = _initial_params(x, k, floor, rng, restart)
     ll_prev = -np.inf
+    converged = False
     trace = []
-    for _ in range(config.max_iter):
+    for it in range(config.max_iter + 1):
         log_comp = _log_components(x, weights, means, variances)
         log_norm = logsumexp(log_comp, axis=1)
         ll = float(np.sum(log_norm))
         trace.append(ll)
+        if converged or it == config.max_iter:
+            break
         resp = np.exp(log_comp - log_norm[:, None])
-
         nk = resp.sum(axis=0)
         starved = nk < 1.0  # responsibility mass below 1/n_train of the data
         means = resp.T @ x / np.maximum(nk, 1e-300)
@@ -197,22 +209,15 @@ def _em_single(x, k, config, floor, rng, restart):
             floor,
         )
         weights = nk / n
-        if np.any(starved):
+        if starved.any():
             idx = np.flatnonzero(starved)
             means[idx] = rng.choice(x, size=idx.size)
             variances[idx] = floor
             weights[idx] = 1.0 / n
-            weights = weights / weights.sum()
-            ll_prev = -np.inf
             trace.clear()
-            continue
         weights = weights / weights.sum()
-        if ll_prev > -np.inf and abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll)):
-            break
-        ll_prev = ll
-    log_comp = _log_components(x, weights, means, variances)
-    ll = float(np.sum(logsumexp(log_comp, axis=1)))
-    trace.append(ll)
+        converged = not starved.any() and abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll))
+        ll_prev = -np.inf if starved.any() else ll
     return weights, means, variances, ll, trace
 
 

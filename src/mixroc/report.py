@@ -2,12 +2,11 @@
 
 A Report is a JSON-able summary of one analysis run: per-estimator AUC
 values under both rules, optional pAUC intervals, fitted model summaries,
-band summaries and run metadata. Reports round-trip through JSON exactly.
+band summaries and run metadata; `Report.to_json` writes it with sorted keys.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -37,17 +36,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        doc = json.loads(text)
-        return cls(
-            dataset=doc["dataset"],
-            settings=doc["settings"],
-            estimators=doc["estimators"],
-            pauc=doc.get("pauc", {}),
-            schema_version=doc["schema_version"],
-        )
-
 
 def _fmt(val) -> str:
     if val is None:
@@ -55,36 +43,16 @@ def _fmt(val) -> str:
     return f"{val:.4f}"
 
 
-def _rows_for(report: Report):
-    """(estimator, trapezoidal, mann-whitney, mw_is_closed_form, marked) rows."""
+def _closest(report: Report) -> set[str]:
+    """The non-empirical estimator(s) whose trapezoidal AUC is closest to the empirical one."""
     est = report.estimators
     emp_trap = est.get("empirical", {}).get("auc_trapezoidal")
-    # mark the non-empirical estimator(s) closest to the empirical trapezoidal AUC
-    distances = {}
-    if emp_trap is not None:
-        for name, entry in est.items():
-            if name == "empirical" or entry.get("auc_trapezoidal") is None:
-                continue
-            distances[name] = abs(entry["auc_trapezoidal"] - emp_trap)
-    marked: set[str] = set()
-    if distances:
-        best = min(distances.values())
-        marked = {name for name, d in distances.items() if np.isclose(d, best, rtol=0.0, atol=1e-12)}
-    rows = []
-    for name in ESTIMATORS:
-        if name not in est:
-            continue
-        entry = est[name]
-        rows.append(
-            (
-                name,
-                entry.get("auc_trapezoidal"),
-                entry.get("auc_mann_whitney"),
-                bool(entry.get("mann_whitney_is_closed_form", False)),
-                name in marked,
-            )
-        )
-    return rows, marked
+    if emp_trap is None:
+        return set()
+    distances = {name: abs(entry["auc_trapezoidal"] - emp_trap) for name, entry in est.items()
+                 if name != "empirical" and entry.get("auc_trapezoidal") is not None}
+    best = min(distances.values(), default=0.0)
+    return {name for name, d in distances.items() if np.isclose(d, best, rtol=0.0, atol=1e-12)}
 
 
 def compare_table(reports: list[Report]) -> str:
@@ -97,38 +65,32 @@ def compare_table(reports: list[Report]) -> str:
     """
     if not reports:
         raise ValueError("compare_table needs at least one report")
-    per_report = [_rows_for(r) for r in reports]
+    marks = [_closest(r) for r in reports]
     names = [r.dataset.get("source_name", f"dataset {i}") for i, r in enumerate(reports)]
-    present = {row[0] for rows, _ in per_report for row in rows}
-    estimators = [name for name in ESTIMATORS if name in present]
+    estimators = [est for est in ESTIMATORS if any(est in r.estimators for r in reports)]
 
-    buf = io.StringIO()
     width = 12
-    head = f"{'Estimator':<12}"
-    for name in names:
-        head += f"{name + ' trap.':>{width+6}}{'Mann-Whitney':>{width+2}}"
-    print(head, file=buf)
-    print("-" * len(head), file=buf)
-    any_tie = False
+    head = f"{'Estimator':<12}" + "".join(
+        f"{name + ' trap.':>{width+6}}{'Mann-Whitney':>{width+2}}" for name in names)
+    lines = [head, "-" * len(head)]
     any_closed = False
     for est in estimators:
         line = f"{est:<12}"
-        for rows, marked in per_report:
-            row = next((r for r in rows if r[0] == est), None)
-            if row is None:
+        for report, marked in zip(reports, marks):
+            entry = report.estimators.get(est)
+            if entry is None:
                 line += f"{'-':>{width+6}}{'-':>{width+2}}"
                 continue
-            _, trap, mw, closed, mark = row
+            closed = bool(entry.get("mann_whitney_is_closed_form", False))
             any_closed = any_closed or closed
-            trap_s = _fmt(trap) + (" <" if mark else "  ")
-            mw_s = _fmt(mw) + ("*" if closed else " ")
+            trap_s = _fmt(entry.get("auc_trapezoidal")) + (" <" if est in marked else "  ")
+            mw_s = _fmt(entry.get("auc_mann_whitney")) + ("*" if closed else " ")
             line += f"{trap_s:>{width+6}}{mw_s:>{width+2}}"
-            if mark and len(marked) > 1:
-                any_tie = True
-        print(line, file=buf)
+        lines.append(line)
     if any_closed:
-        print("* closed-form value (no sample-based Mann-Whitney defined)", file=buf)
-    if any_tie:
-        print("note: tie: more than one estimator is equally close to the empirical AUC", file=buf)
-    print("< marks the non-empirical estimator closest to the empirical trapezoidal AUC", file=buf)
-    return buf.getvalue()
+        lines.append("* closed-form value (no sample-based Mann-Whitney defined)")
+    # a tie counts only where it marks a row the table shows
+    if any(len(m) > 1 and m & set(ESTIMATORS) for m in marks):
+        lines.append("note: tie: more than one estimator is equally close to the empirical AUC")
+    lines.append("< marks the non-empirical estimator closest to the empirical trapezoidal AUC")
+    return "\n".join(lines) + "\n"

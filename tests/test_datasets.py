@@ -76,6 +76,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-numeric"):
             load_dataset(p)
 
+    def test_error_names_the_file_line_after_blank_lines(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("score,label\n1.0,0\n\n2.0,0\n\n3.0,1\nabc,1\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{p}:7: non-numeric score 'abc'")):
+            load_dataset(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(tmp_path / "nope.csv")

@@ -46,6 +46,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             MgConfig(seed=-1)
 
+    def test_seed_below_2_to_the_128(self):
+        MgConfig(seed=2**128 - 1)
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*128"):
+            MgConfig(seed=2**128)
+
     def test_run_mg_needs_replicate_sizes(self):
         for sizes in ({}, {"replicate_n_x": 10}, {"replicate_n_y": 10}):
             with pytest.raises(ValueError, match="mg_pipeline"):

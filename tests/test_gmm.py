@@ -73,6 +73,22 @@ class TestFitEm:
         for trace in traces:
             assert np.all(np.diff(trace) >= -1e-9)
 
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_max_iter_counts_m_steps(self, max_iter):
+        # well separated: no restart starves, so no trace is cleared
+        rng = np.random.default_rng(3)
+        data = np.concatenate([rng.normal(0, 1, 120), rng.normal(6, 0.5, 80)])
+        config = EmConfig(max_iter=max_iter, n_restarts=3, seed=1)
+        _, traces = fit_em(sample_of(data), 2, config, return_trace=True)
+        assert [len(trace) for trace in traces] == [max_iter + 1] * 3
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 500])
+    def test_log_likelihood_is_of_returned_params(self, max_iter):
+        rng = np.random.default_rng(3)
+        data = np.concatenate([rng.normal(0, 1, 120), rng.normal(4, 0.5, 80)])
+        model = fit_em(sample_of(data), 3, EmConfig(max_iter=max_iter, seed=1))
+        assert model.log_likelihood == pytest.approx(np.sum(np.log(pdf(model, data))), rel=1e-12)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         data = rng.normal(0, 1, 150)
@@ -392,6 +408,7 @@ class TestEmConfigValidation:
             dict(max_iter=0),
             dict(n_restarts=0),
             dict(seed=-1),
+            dict(seed=2**128),
         ],
     )
     def test_rejects(self, kwargs):

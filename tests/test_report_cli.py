@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,13 @@ class TestRun:
     def test_report_json_round_trip(self, tmp_path):
         report = run(fast_config(tmp_path))
         text = (tmp_path / "out" / "report.json").read_text()
-        assert Report.from_json(text) == report
+        assert json.loads(text) == asdict(report)
+
+    def test_settings_em_lists_every_em_setting(self, tmp_path):
+        report = run(fast_config(tmp_path, estimators=("empirical",)))
+        assert report.settings["em"] == {
+            "k_min": 1, "k_max": 1, "max_iter": 500, "n_restarts": 1, "seed": 0, "tol": 1e-8,
+        }
 
     def test_same_seed_same_bytes(self, tmp_path):
         run(fast_config(tmp_path, out_dir=str(tmp_path / "a")))
@@ -168,6 +174,22 @@ class TestCompareTable:
         bin_line = next(l for l in table.splitlines() if l.startswith("binormal"))
         assert "<" in mg_line and "<" in bin_line
         assert "tie" in table
+
+    def test_exact_text(self):
+        # mg is missing from "two"; binormal and mg tie on "one"; binormal is closed-form
+        one = self.make_report("one", 0.80, 0.75, 0.85)
+        two = self.make_report("two", 0.90, 0.85, None)
+        del two.estimators["mg"]
+        assert compare_table([one, two]) == "\n".join([
+            "Estimator            one trap.  Mann-Whitney         two trap.  Mann-Whitney",
+            "-" * 76,
+            "empirical             0.8000         0.8000           0.9000         0.9000 ",
+            "binormal              0.7500 <       0.7500*          0.8500 <       0.8500*",
+            "mg                    0.8500 <       0.8500                  -             -",
+            "* closed-form value (no sample-based Mann-Whitney defined)",
+            "note: tie: more than one estimator is equally close to the empirical AUC",
+            "< marks the non-empirical estimator closest to the empirical trapezoidal AUC",
+        ]) + "\n"
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -278,6 +300,16 @@ class TestMainInProcess:
             "--estimators", "empirical", "--out", str(out),
         ])
         assert code == EXIT_INPUT
+        assert not out.exists()
+
+    def test_seed_beyond_stream_range_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "--input", DATA, "--score-col", "ca125", "--label-col", "status",
+            "--seed", str(2**128), "--out", str(out),
+        ])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: seed must be below 2**128, got {2**128}\n"
         assert not out.exists()
 
     def test_mc_reps_below_two_exits_2(self, tmp_path):
