@@ -107,23 +107,21 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     m, n_x, n_y = config.m, config.replicate_n_x, config.replicate_n_y
     plan = _quantile_plan(n_x, 1.0 - t)
     block_rows = max(1, _BLOCK_SCORES // (n_x + n_y + grid.count))
-    x = np.empty((block_rows, n_x))
-    y = np.empty((block_rows, n_y))
     curves = np.empty((m, grid.count))
     aucs = np.empty(m)
     mws = np.empty(m)
     for start in range(0, m, block_rows):
         block = slice(start, min(start + block_rows, m))
-        rows = block.stop - start
-        for i in range(rows):
-            rng = _stream(config.seed, start + i)
-            x[i] = sample_from(f_model, n_x, rng, PopulationTag.NON_DISEASED).scores
-            y[i] = sample_from(g_model, n_y, rng, PopulationTag.DISEASED).scores
-        xb, yb = x[:rows], y[:rows]
-        tpr = _tpr_rows(yb, _row_quantiles(xb, plan), t)
+        # each replicate's stream draws its x sample before its y sample
+        rngs = [_stream(config.seed, l) for l in range(start, block.stop)]
+        x = np.array([sample_from(f_model, n_x, rng, PopulationTag.NON_DISEASED).scores
+                      for rng in rngs])
+        y = np.array([sample_from(g_model, n_y, rng, PopulationTag.DISEASED).scores
+                      for rng in rngs])
+        tpr = _tpr_rows(y, _row_quantiles(x, plan), t)
         curves[block] = tpr
         aucs[block] = _trapezoid_rows(tpr, t)
-        mws[block] = _mann_whitney_rows(xb, yb)
+        mws[block] = _mann_whitney_rows(x, y)
 
     mean_tpr = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize.elementwise import find_root
-from scipy.special import erfc, log_ndtr, logsumexp, ndtri
+from scipy.special import log_ndtr, ndtri
 
 from .datasets import PopulationTag, ScoreSample
 
@@ -161,15 +161,20 @@ def _initial_params(x, k, floor, rng, restart):
         centers = np.sort(_farthest_point_centers(x, k))
     else:
         centers = np.sort(rng.choice(x, size=k, replace=False))
-    # nearest-center assignment; per-cluster variance clamped to the floor
+    # nearest-center assignment; per-cluster variance (0 if empty) clamped to the floor
     owner = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
-    variances = np.empty(k)
-    for j in range(k):
-        members = x[owner == j]
-        within = float(np.mean((members - centers[j]) ** 2)) if members.size else 0.0
-        variances[j] = max(within, floor)
+    sq_dist = np.bincount(owner, (x - centers[owner]) ** 2, minlength=k)
+    within = sq_dist / np.maximum(np.bincount(owner, minlength=k), 1)
+    variances = np.maximum(within, floor)
     weights = np.full(k, 1.0 / k)
     return weights, centers, variances
+
+
+def _log_sum_exp(a):
+    """log(sum(exp(a), axis=1)) shifted by each row's max; a row of -inf gives -inf."""
+    top = np.maximum(a.max(axis=1), np.finfo(float).min)
+    with np.errstate(divide="ignore"):  # log(0) of a row of -inf
+        return top + np.log(np.exp(a - top[:, None]).sum(axis=1))
 
 
 def _log_components(x, weights, means, variances):
@@ -194,7 +199,7 @@ def _em_single(x, k, config, floor, rng, restart):
     trace = []
     for it in range(config.max_iter + 1):
         log_comp = _log_components(x, weights, means, variances)
-        log_norm = logsumexp(log_comp, axis=1)
+        log_norm = _log_sum_exp(log_comp)
         ll = float(np.sum(log_norm))
         trace.append(ll)
         if converged or it == config.max_iter:
@@ -289,28 +294,24 @@ def _elementwise(func):
 
 @_elementwise
 def pdf(model: GmmModel, x):
-    """Mixture density sum_k pi_k * phi(x | mu_k, var_k), elementwise."""
-    z2 = (x[:, None] - model.means[None, :]) ** 2 / model.variances[None, :]
-    dens = np.exp(-0.5 * z2) / (np.sqrt(2.0 * np.pi) * model.sigmas[None, :])
-    return dens @ model.weights
+    """Mixture density sum_k pi_k * phi(x | mu_k, var_k), elementwise, summed in log space."""
+    return np.exp(_log_sum_exp(_log_components(x, model.weights, model.means, model.variances)))
 
 
 @_elementwise
 def survival(model: GmmModel, c):
     """Upper-tail probability P(X > c) = sum_k pi_k * Q((c - mu_k)/sigma_k), elementwise."""
-    z = (c[:, None] - model.means[None, :]) / model.sigmas[None, :]
-    # erfc keeps full relative accuracy in the far upper tail
-    return 0.5 * erfc(z / np.sqrt(2.0)) @ model.weights
+    return np.exp(_log_tail(model, c, -1.0))
 
 
-def _log_tail(model: GmmModel, c: NDArray[np.float64], sign: NDArray[np.float64]) -> NDArray[np.float64]:
+def _log_tail(model: GmmModel, c: NDArray[np.float64], sign) -> NDArray[np.float64]:
     """log P(X <= c) where sign is +1 and log P(X > c) where it is -1.
 
-    Phi(-z) = Q(z), so both tails come from log Phi with full relative
-    accuracy however small they are.
+    `sign` is a scalar or a column with one entry per point of c. Phi(-z) = Q(z),
+    so both tails come from log Phi with full relative accuracy however small they are.
     """
     z = (c[:, None] - model.means[None, :]) / model.sigmas[None, :]
-    return logsumexp(log_ndtr(sign[:, None] * z) + np.log(model.weights)[None, :], axis=1)
+    return _log_sum_exp(log_ndtr(sign * z) + np.log(model.weights)[None, :])
 
 
 @_elementwise
@@ -343,7 +344,7 @@ def survival_inverse(model: GmmModel, t):
     def gap(c, sign, target):
         # increasing in c on both sides: -(log survival - log t) below 1/2,
         # log CDF - log(1 - t) above
-        return sign * (_log_tail(model, c, sign) - target)
+        return sign * (_log_tail(model, c, sign[:, None]) - target)
 
     return find_root(gap, (c_k.min(axis=1) - pad, c_k.max(axis=1) + pad), args=(sign, target)).x
 

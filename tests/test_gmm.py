@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.special import logsumexp, ndtr, ndtri
 
 from mixroc import ensemble, gmm
 from mixroc.datasets import (
@@ -27,6 +27,14 @@ from mixroc.gmm import (
 
 def sample_of(values):
     return ScoreSample(values, PopulationTag.NON_DISEASED)
+
+
+# the CA 125 control fit of select_k, whose last component sits on the
+# variance floor 1e-6 * range^2 over one observation
+CA125_CONTROLS = GmmModel(
+    [0.7257448368421282, 0.2154318288889437, 0.0392154911316733, 0.0196078431372549],
+    [10.320299163294631, 31.547749903454793, 102.55003137133548, 179.0],
+    [10.123143936706988, 160.34901898868912, 40.322499999967775, 0.030102249999999997])
 
 
 def random_mixture(rng, k_max=4):
@@ -88,6 +96,19 @@ class TestFitEm:
         data = np.concatenate([rng.normal(0, 1, 120), rng.normal(4, 0.5, 80)])
         model = fit_em(sample_of(data), 3, EmConfig(max_iter=max_iter, seed=1))
         assert model.log_likelihood == pytest.approx(np.sum(np.log(pdf(model, data))), rel=1e-12)
+
+    @pytest.mark.parametrize("restart", [0, 1, 2])
+    def test_initial_variances_are_per_cluster_means(self, restart):
+        # heavy ties: a repeated center leaves the second copy an empty cluster
+        x = np.sort(np.random.default_rng(12).integers(0, 4, 40).astype(float) ** 3)
+        floor = gmm._effective_floor(x)
+        for k in (1, 3, 5):
+            _, centers, variances = gmm._initial_params(
+                x, k, floor, np.random.default_rng(restart), restart)
+            owner = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+            ref = [max(np.mean((x[owner == j] - c) ** 2) if np.any(owner == j) else 0.0, floor)
+                   for j, c in enumerate(centers)]
+            np.testing.assert_allclose(variances, ref, rtol=1e-13, atol=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -206,6 +227,59 @@ class TestSurvival:
             assert oi == survival(model, float(ci))
 
 
+class TestTailAccuracy:
+    """pdf and survival against per-component closed forms, relative to the value."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(53)
+        for model in [CA125_CONTROLS] + [random_mixture(rng) for _ in range(20)]:
+            # +-35 sigma around every component: down to about 1e-268 in each tail
+            x = np.linspace((model.means - 35 * model.sigmas).min(),
+                            (model.means + 35 * model.sigmas).max(), 20001)
+            yield model, x, (x[:, None] - model.means) / model.sigmas
+
+    @staticmethod
+    def assert_relative(got, ref):
+        seen = ref > 1e-300
+        assert np.max(np.abs(got[seen] - ref[seen]) / ref[seen]) <= 1e-11
+
+    def test_pdf(self):
+        for model, x, z in self.cases():
+            ref = (np.exp(-0.5 * z**2) / (np.sqrt(2.0 * np.pi) * model.sigmas)) @ model.weights
+            self.assert_relative(pdf(model, x), ref)
+
+    def test_survival(self):
+        for model, x, z in self.cases():
+            self.assert_relative(survival(model, x), ndtr(-z) @ model.weights)
+
+    def test_points_at_infinity(self):
+        model = GmmModel([0.3, 0.7], [0.0, 2.0], [1.0, 0.5])
+        with np.errstate(all="raise"):
+            assert pdf(model, [-np.inf, np.inf]).tolist() == [0.0, 0.0]
+            low, high = survival(model, [-np.inf, np.inf])
+        # the total mass exp(log-sum-exp of log weights) is 1 to rounding
+        assert low == pytest.approx(1.0, abs=4 * np.finfo(float).eps) and high == 0.0
+
+
+class TestLogSumExp:
+    """The package's one log-sum-exp, with scipy's as the reference."""
+
+    @pytest.mark.parametrize("kind", ["wide", "tied-max", "underflow"])
+    def test_matches_scipy(self, kind):
+        rng = np.random.default_rng(61)
+        if kind == "wide":  # magnitudes from 1 to 1e3, either sign
+            a = rng.choice([-1.0, 1.0], (200, 5)) * 10.0 ** rng.uniform(0.0, 3.0, (200, 5))
+        elif kind == "tied-max":  # the row maximum repeats
+            a = np.repeat(rng.uniform(-50.0, 50.0, (50, 1)), 4, axis=1)
+            a[:, 3] -= rng.uniform(0.0, 5.0, 50)
+        else:  # a naive exp underflows to 0 on every row
+            a = -746.0 - rng.uniform(0.0, 20.0, (50, 4))
+            assert np.all(np.exp(a).sum(axis=1) == 0.0)
+        ref = logsumexp(a, axis=1)
+        assert np.max(np.abs(gmm._log_sum_exp(a) - ref) / np.abs(ref)) <= 1e-13
+
+
 class TestSurvivalInverse:
     def test_symmetry_at_half(self):
         model = GmmModel([1.0], [0.0], [1.0])
@@ -250,11 +324,7 @@ class TestSurvivalInverse:
         # a spike of variance 1e-6 beside components with means 6e3 apart
         GmmModel([0.3, 0.2, 0.2, 0.2, 0.1], [-3e3, -1.0, 0.0, 2e2, 3e3],
                  [1e-6, 1.0, 4.0, 1e2, 1e4]),
-        # the CA 125 control fit of select_k, whose last component sits on
-        # the variance floor 1e-6 * range^2 over one observation
-        GmmModel([0.7257448368421282, 0.2154318288889437, 0.0392154911316733, 0.0196078431372549],
-                 [10.320299163294631, 31.547749903454793, 102.55003137133548, 179.0],
-                 [10.123143936706988, 160.34901898868912, 40.322499999967775, 0.030102249999999997]),
+        CA125_CONTROLS,
     ], ids=["spike-wide-spread", "ca125-controls"])
     def test_hostile_models(self, model, monkeypatch):
         calls = []
