@@ -35,16 +35,6 @@ class BinormalParams:
         if not np.isclose(self.b, self.sigma_n / self.sigma_d, rtol=0, atol=1e-12):
             raise ValueError("b is inconsistent with the stored moments")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "mu_n": self.mu_n,
-            "sigma_n": self.sigma_n,
-            "mu_d": self.mu_d,
-            "sigma_d": self.sigma_d,
-        }
-
 
 def fit_binormal(dataset: LabeledDataset) -> BinormalParams:
     """Moment fit: sample means and unbiased (n-1) standard deviations."""

@@ -153,7 +153,7 @@ def analyse(
             "auc_closed_form": auc,
             "auc_mann_whitney": auc,
             "mann_whitney_is_closed_form": True,
-            "params": params.to_json_dict(),
+            "params": asdict(params),
         }
     if "mg" in config.estimators:
         f_model, g_model, mg_result = mg_pipeline(dataset, config.em, config.mg)

@@ -98,8 +98,9 @@ class EmConfig:
     """EM and model-selection settings: K range, iteration cap, restarts, seed.
 
     EM stops at :data:`EM_TOL` or after `max_iter` M-steps; a restart's trace holds one E-step
-    more than its M-steps. Variances are floored at 1e-6 * (sample range)^2. Each restart has
-    its own stream, so adding a K or a restart changes no other. `seed` lies in [0, 2**128).
+    more than its M-steps. Variances are floored at 1e-6 * (sample range)^2. Restart r at K
+    components draws its centers from its own stream (population, K, r), so adding a K or a
+    restart changes no other. `seed` lies in [0, 2**128).
     """
 
     k_min: int = 1
@@ -144,23 +145,10 @@ def _effective_floor(x: NDArray[np.float64]) -> float:
     return 1e-12 * max(1.0, abs(float(x[0])))
 
 
-def _farthest_point_centers(x: NDArray[np.float64], k: int) -> NDArray[np.float64]:
-    """Greedy farthest-point centers, starting from the most central point."""
-    centers = [x[np.argmin(np.abs(x - x.mean()))]]
-    while len(centers) < k:
-        dist = np.min(np.abs(x[:, None] - np.asarray(centers)[None, :]), axis=1)
-        centers.append(x[np.argmax(dist)])
-    return np.asarray(centers, dtype=float)
-
-
-def _initial_params(x, k, floor, rng, restart):
-    """Restart 0: deterministic farthest-point centers; later restarts draw
-    centers from the data itself, which follows the sample density and
-    explores far better on heavily skewed samples."""
-    if restart == 0 or k >= x.size:
-        centers = np.sort(_farthest_point_centers(x, k))
-    else:
-        centers = np.sort(rng.choice(x, size=k, replace=False))
+def _initial_params(x, k, floor, rng):
+    """Centers drawn from the data without replacement, so they follow the sample density;
+    equal weights and each center's within-cluster variance."""
+    centers = np.sort(rng.choice(x, size=k, replace=False))
     # nearest-center assignment; per-cluster variance (0 if empty) clamped to the floor
     owner = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
     sq_dist = np.bincount(owner, (x - centers[owner]) ** 2, minlength=k)
@@ -179,11 +167,12 @@ def _log_sum_exp(a):
 
 def _log_components(x, weights, means, variances):
     # (n, k) matrix of log(pi_k * phi(x | mu_k, var_k))
-    z2 = (x[:, None] - means[None, :]) ** 2 / variances[None, :]
+    with np.errstate(over="ignore"):  # a huge |x - mu| squares to inf, whose density is 0
+        z2 = (x[:, None] - means[None, :]) ** 2 / variances[None, :]
     return np.log(weights)[None, :] - 0.5 * (np.log(2.0 * np.pi * variances)[None, :] + z2)
 
 
-def _em_single(x, k, config, floor, rng, restart):
+def _em_single(x, k, config, floor, rng):
     """One EM run; returns (weights, means, variances, ll, ll_trace).
 
     At most `config.max_iter` M-steps, each between two E-steps, so ll is of the returned
@@ -193,7 +182,7 @@ def _em_single(x, k, config, floor, rng, restart):
     segment is reported.
     """
     n = x.size
-    weights, means, variances = _initial_params(x, k, floor, rng, restart)
+    weights, means, variances = _initial_params(x, k, floor, rng)
     ll_prev = -np.inf
     converged = False
     trace = []
@@ -234,9 +223,8 @@ def fit_em(
 ):
     """Fit a k-component mixture by EM, best of `config.n_restarts` runs.
 
-    The first restart seeds centers by a deterministic farthest-point pass;
-    later restarts draw centers from the data. Restart r draws from the
-    stream (population, k, r) of `config.seed`.
+    Restart r draws its initial centers, and any re-seeded component, from
+    the stream (population, k, r) of `config.seed`.
 
     Returns the :class:`GmmModel` with the highest final log-likelihood;
     with `return_trace` also the per-iteration log-likelihood trace of
@@ -249,7 +237,7 @@ def fit_em(
         raise ValueError(f"k={k} exceeds the sample size {x.size}")
     floor = _effective_floor(x)
     population = int(sample.population_tag is PopulationTag.DISEASED)
-    runs = [_em_single(x, k, config, floor, _stream(config.seed, population, k, r), r)
+    runs = [_em_single(x, k, config, floor, _stream(config.seed, population, k, r))
             for r in range(config.n_restarts)]
     finite = [run for run in runs if np.isfinite(run[3])]
     if not finite:

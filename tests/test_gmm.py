@@ -1,6 +1,7 @@
 """Gaussian mixture fitting, evaluation, inversion and sampling."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import logsumexp, ndtr, ndtri
 
 from mixroc import ensemble, gmm
 from mixroc.datasets import (
-    PopulationTag, ScoreSample, from_arrays, make_refined_grid, make_uniform_grid,
+    PopulationTag, ScoreSample, from_arrays, load_dataset, make_refined_grid, make_uniform_grid,
 )
 from mixroc.ensemble import MgConfig, mg_pipeline
 from mixroc.gmm import (
@@ -24,13 +25,15 @@ from mixroc.gmm import (
     survival_inverse,
 )
 
+DATA = str(Path(__file__).resolve().parent.parent / "data" / "wieand_pancreatic.csv")
+
 
 def sample_of(values):
     return ScoreSample(values, PopulationTag.NON_DISEASED)
 
 
-# the CA 125 control fit of select_k, whose last component sits on the
-# variance floor 1e-6 * range^2 over one observation
+# a K=4 fit to the CA 125 controls (log-likelihood -177.03) whose last component
+# sits on the variance floor 1e-6 * range^2 over one observation: a hostile model
 CA125_CONTROLS = GmmModel(
     [0.7257448368421282, 0.2154318288889437, 0.0392154911316733, 0.0196078431372549],
     [10.320299163294631, 31.547749903454793, 102.55003137133548, 179.0],
@@ -103,8 +106,7 @@ class TestFitEm:
         x = np.sort(np.random.default_rng(12).integers(0, 4, 40).astype(float) ** 3)
         floor = gmm._effective_floor(x)
         for k in (1, 3, 5):
-            _, centers, variances = gmm._initial_params(
-                x, k, floor, np.random.default_rng(restart), restart)
+            _, centers, variances = gmm._initial_params(x, k, floor, np.random.default_rng(restart))
             owner = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
             ref = [max(np.mean((x[owner == j] - c) ** 2) if np.any(owner == j) else 0.0, floor)
                    for j, c in enumerate(centers)]
@@ -145,6 +147,15 @@ class TestSelectK:
         data = rng.normal(0, 1, 200)
         model = select_k(sample_of(data), EmConfig(k_min=3, k_max=3))
         assert model.k == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_floor_spike_on_ca125_controls(self, seed):
+        # BIC must not win with a component of about one observation on the variance floor
+        controls = load_dataset(DATA, score_col="ca125", label_col="status").non_diseased
+        floor = gmm._effective_floor(controls.scores)
+        model = select_k(controls, EmConfig(seed=seed))
+        spike = (model.n_train * model.weights < 1.5) & (model.variances <= floor)
+        assert not spike.any(), (model.weights, model.variances, floor)
 
     def test_bic_formula(self):
         model = GmmModel([0.4, 0.6], [0.0, 1.0], [1.0, 2.0], log_likelihood=-100.0, n_train=50)
@@ -256,10 +267,11 @@ class TestTailAccuracy:
     def test_points_at_infinity(self):
         model = GmmModel([0.3, 0.7], [0.0, 2.0], [1.0, 0.5])
         with np.errstate(all="raise"):
-            assert pdf(model, [-np.inf, np.inf]).tolist() == [0.0, 0.0]
-            low, high = survival(model, [-np.inf, np.inf])
+            assert pdf(model, [-np.inf, -1e300, 1e300, np.inf]).tolist() == [0.0] * 4
+            low, far_low, far_high, high = survival(model, [-np.inf, -1e300, 1e300, np.inf])
         # the total mass exp(log-sum-exp of log weights) is 1 to rounding
         assert low == pytest.approx(1.0, abs=4 * np.finfo(float).eps) and high == 0.0
+        assert far_low == pytest.approx(1.0, abs=4 * np.finfo(float).eps) and far_high == 0.0
 
 
 class TestLogSumExp:
@@ -435,7 +447,7 @@ class TestModelValidation:
 def test_collapse_error_when_every_restart_diverges(monkeypatch):
     import mixroc.gmm as gmm_mod
 
-    def broken(x, k, config, floor, rng, restart):
+    def broken(x, k, config, floor, rng):
         return np.full(k, 1.0 / k), np.zeros(k), np.ones(k), float("nan"), [float("nan")]
 
     monkeypatch.setattr(gmm_mod, "_em_single", broken)
@@ -449,9 +461,9 @@ def test_every_stream_is_distinct(monkeypatch):
     em_states, replicate_states = [], []
     em_single, draw = gmm._em_single, ensemble.sample_from
 
-    def recording_em(x, k, config, floor, rng, restart):
+    def recording_em(x, k, config, floor, rng):
         em_states.append(rng.bit_generator.state["state"]["state"])
-        return em_single(x, k, config, floor, rng, restart)
+        return em_single(x, k, config, floor, rng)
 
     def recording_draw(model, n, rng, tag=PopulationTag.NON_DISEASED):
         if tag is PopulationTag.NON_DISEASED:  # the first draw of a replicate
