@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .datasets import FprGrid, LabeledDataset
+from .datasets import FprGrid, LabeledDataset, _check_fit_range
 from .roc import RocCurveGrid, _pinned_curve
 
 
@@ -38,6 +38,8 @@ class BinormalParams:
 
 def fit_binormal(dataset: LabeledDataset) -> BinormalParams:
     """Moment fit: sample means and unbiased (n-1) standard deviations."""
+    _check_fit_range(dataset.non_diseased)
+    _check_fit_range(dataset.diseased)
     x = dataset.non_diseased.scores
     y = dataset.diseased.scores
     sigma_n = float(np.std(x, ddof=1))

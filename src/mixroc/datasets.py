@@ -47,7 +47,9 @@ class ScoreSample:
     Parameters
     ----------
     scores : array-like
-        Finite scalar diagnostic scores, at least two of them.
+        Finite scalar diagnostic scores, at least two of them. EM and the
+        binormal fit also need the range max - min to be 0 or in [1e-150, 1e150],
+        where its square is a normal float, and raise :class:`DatasetError` if not.
     population_tag : PopulationTag
         Which population the scores come from.
     source_name : str
@@ -63,6 +65,15 @@ class ScoreSample:
 
     def __len__(self) -> int:
         return int(self.scores.size)
+
+
+def _check_fit_range(sample: ScoreSample) -> None:
+    """The range rule of the parametric fits, stated on :class:`ScoreSample`."""
+    with np.errstate(over="ignore"):  # a range beyond the largest float is inf, and rejected
+        spread = sample.scores[-1] - sample.scores[0]
+    if spread != 0.0 and not 1e-150 <= spread <= 1e150:
+        raise DatasetError(f"{sample.population_tag.value} score range {spread:.3g} is outside "
+                           "[1e-150, 1e150]; rescale the scores")
 
 
 @dataclass(frozen=True)

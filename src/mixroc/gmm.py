@@ -16,14 +16,15 @@ from numpy.typing import NDArray
 from scipy.optimize.elementwise import find_root
 from scipy.special import log_ndtr, ndtri
 
-from .datasets import PopulationTag, ScoreSample
+from .datasets import PopulationTag, ScoreSample, _check_fit_range
 
 WEIGHT_SUM_TOL = 1e-12
 EM_TOL = 1e-8  # EM stops when |ll change| <= EM_TOL * (1 + |ll|)
 
 
 class EmCollapseError(RuntimeError):
-    """Every restart ended degenerate despite the variance floor."""
+    """No EM fit is usable: every restart ended NaN (:func:`fit_em`), or every restart at
+    every K tried starved (:func:`select_k`, possible only for k_min >= 2)."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class GmmModel:
         Mixing proportions (positive, summing to one), component means and
         component variances.
     log_likelihood : float
-        Training log-likelihood of the returned parameters.
+        Training log-likelihood of the returned parameters; -inf marks a fit whose every
+        restart starved (see :func:`fit_em`).
     n_train : int
         Training sample size.
     """
@@ -98,7 +100,8 @@ class EmConfig:
     """EM and model-selection settings: K range, iteration cap, restarts, seed.
 
     EM stops at :data:`EM_TOL` or after `max_iter` M-steps; a restart's trace holds one E-step
-    more than its M-steps. Variances are floored at 1e-6 * (sample range)^2. Restart r at K
+    more than its M-steps, or stops early and fails if it starves a component (see
+    :func:`fit_em`). Variances are floored at 1e-6 * (sample range)^2. Restart r at K
     components draws its centers from its own stream (population, K, r), so adding a K or a
     restart changes no other. `seed` lies in [0, 2**128).
     """
@@ -177,9 +180,10 @@ def _em_single(x, k, config, floor, rng):
 
     At most `config.max_iter` M-steps, each between two E-steps, so ll is of the returned
     parameters and the trace holds the log-likelihood at each E-step, one more than the
-    M-steps. EM keeps it non-decreasing except across a degeneracy reset (a starved
-    component re-seeded on a random data point), which clears it: only the final monotone
-    segment is reported.
+    M-steps; EM keeps it non-decreasing. An E-step that leaves a component less than one
+    observation of responsibility mass has starved the run, a step toward a degenerate fit
+    (the likelihood is unbounded): the run stops there and returns that E-step's parameters
+    with ll = -inf. `rng` is read only for the initial centers.
     """
     n = x.size
     weights, means, variances = _initial_params(x, k, floor, rng)
@@ -195,23 +199,15 @@ def _em_single(x, k, config, floor, rng):
             break
         resp = np.exp(log_comp - log_norm[:, None])
         nk = resp.sum(axis=0)
-        starved = nk < 1.0  # responsibility mass below 1/n_train of the data
-        means = resp.T @ x / np.maximum(nk, 1e-300)
+        if np.any(nk < 1.0):  # responsibility mass below 1/n_train of the data
+            return weights, means, variances, -np.inf, trace
+        means = resp.T @ x / nk
         variances = np.maximum(
-            np.einsum("nk,nk->k", resp, (x[:, None] - means[None, :]) ** 2)
-            / np.maximum(nk, 1e-300),
-            floor,
-        )
+            np.einsum("nk,nk->k", resp, (x[:, None] - means[None, :]) ** 2) / nk, floor)
         weights = nk / n
-        if starved.any():
-            idx = np.flatnonzero(starved)
-            means[idx] = rng.choice(x, size=idx.size)
-            variances[idx] = floor
-            weights[idx] = 1.0 / n
-            trace.clear()
         weights = weights / weights.sum()
-        converged = not starved.any() and abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll))
-        ll_prev = -np.inf if starved.any() else ll
+        converged = abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll))
+        ll_prev = ll
     return weights, means, variances, ll, trace
 
 
@@ -223,48 +219,55 @@ def fit_em(
 ):
     """Fit a k-component mixture by EM, best of `config.n_restarts` runs.
 
-    Restart r draws its initial centers, and any re-seeded component, from
-    the stream (population, k, r) of `config.seed`.
+    Restart r draws its initial centers from the stream (population, k, r)
+    of `config.seed`. A restart that starves a component (responsibility
+    mass below one observation) ends with log-likelihood -inf.
 
-    Returns the :class:`GmmModel` with the highest final log-likelihood;
-    with `return_trace` also the per-iteration log-likelihood trace of
-    every restart (each trace is a monotone EM segment).
+    Returns the :class:`GmmModel` with the highest final log-likelihood,
+    -inf if every restart starved; with `return_trace` also every restart's
+    log-likelihood trace, monotone from its first E-step.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     x = np.asarray(sample.scores, dtype=float)
     if k > x.size:
         raise ValueError(f"k={k} exceeds the sample size {x.size}")
+    _check_fit_range(sample)
     floor = _effective_floor(x)
     population = int(sample.population_tag is PopulationTag.DISEASED)
     runs = [_em_single(x, k, config, floor, _stream(config.seed, population, k, r))
             for r in range(config.n_restarts)]
-    finite = [run for run in runs if np.isfinite(run[3])]
-    if not finite:
+    valid = [run for run in runs if not np.isnan(run[3])]
+    if not valid:
         raise EmCollapseError(f"all {config.n_restarts} EM restarts collapsed for k={k}")
-    w, mu, var, ll, _ = max(finite, key=lambda run: run[3])
+    w, mu, var, ll, _ = max(valid, key=lambda run: run[3])
     order = np.argsort(mu)  # canonical component order
     model = GmmModel(w[order], mu[order], var[order], log_likelihood=ll, n_train=int(x.size))
     return (model, [run[4] for run in runs]) if return_trace else model
 
 
 def bic(model: GmmModel) -> float:
-    """Bayesian information criterion with 3K - 1 free parameters."""
+    """Bayesian information criterion with 3K - 1 free parameters; +inf for a starved fit."""
     n_params = 3 * model.k - 1
     return -2.0 * model.log_likelihood + n_params * np.log(model.n_train)
 
 
 def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
-    """Fit each K in [k_min, min(k_max, n)] and return the BIC minimizer.
+    """Fit each K in [k_min, min(k_max, max(1, n // 3))] and return the BIC minimizer.
 
-    Ties break toward smaller K. Each restart of each K draws from its own
-    stream, so adding a K or a restart never changes the other fits.
+    The cap keeps the 3K - 1 free parameters below n. Ties break toward smaller K; a starved
+    fit's BIC is +inf, so it wins only if every K starved, which raises. Each restart of each
+    K draws from its own stream, so adding a K or a restart never changes the other fits.
     """
     n = len(sample)
-    if n < config.k_min:
-        raise ValueError(f"sample size {n} is below k_min={config.k_min}")
-    return min((fit_em(sample, k, config) for k in range(config.k_min, min(config.k_max, n) + 1)),
-               key=bic)
+    k_top = min(config.k_max, max(1, n // 3))
+    if config.k_min > k_top:
+        raise ValueError(f"sample size {n} allows K <= {k_top} (3K - 1 < n), "
+                         f"below k_min={config.k_min}")
+    best = min((fit_em(sample, k, config) for k in range(config.k_min, k_top + 1)), key=bic)
+    if np.isinf(bic(best)):
+        raise EmCollapseError(f"every EM restart starved at each K in [{config.k_min}, {k_top}]")
+    return best
 
 
 def _elementwise(func):

@@ -7,7 +7,9 @@ import pytest
 from scipy.special import ndtr
 
 from mixroc.binormal import BinormalParams, binormal_auc, binormal_curve, fit_binormal
-from mixroc.datasets import from_arrays, load_dataset, make_refined_grid, make_uniform_grid
+from mixroc.datasets import (
+    DatasetError, from_arrays, load_dataset, make_refined_grid, make_uniform_grid,
+)
 from mixroc.roc import auc_trapezoid
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "wieand_pancreatic.csv")
@@ -19,6 +21,12 @@ class TestFit:
         assert params.a == pytest.approx(3 / np.sqrt(2), abs=1e-12)
         assert params.b == pytest.approx(1.0, abs=1e-12)
         assert params.mu_n == 1.0 and params.mu_d == 4.0
+
+    @pytest.mark.parametrize("cases", [[3.0, 5.0, 1e200], [1e-300, 2e-300]],
+                             ids=["1e200", "1e-300"])
+    def test_range_beyond_float_squares_rejected(self, cases):
+        with pytest.raises(DatasetError, match=r"diseased score range .* \[1e-150, 1e150\]"):
+            fit_binormal(from_arrays([0.0, 2.0], cases))
 
     def test_identical_populations(self):
         vals = [1.0, 2.0, 4.0]

@@ -39,6 +39,11 @@ class TestScoreSample:
         with pytest.raises(DatasetError, match="finite"):
             ScoreSample([1.0, bad], PopulationTag.DISEASED)
 
+    @pytest.mark.parametrize("scores", [[0.0, 3.5e-193], [-1e308, 1e308]])
+    def test_any_finite_range_accepted(self, scores):
+        # the rank-based estimators take it; only the parametric fits bound the range
+        assert list(ScoreSample(scores, PopulationTag.DISEASED).scores) == scores
+
     def test_immutable(self):
         s = ScoreSample([1.0, 2.0], PopulationTag.DISEASED)
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from scipy.special import logsumexp, ndtr, ndtri
 
 from mixroc import ensemble, gmm
 from mixroc.datasets import (
-    PopulationTag, ScoreSample, from_arrays, load_dataset, make_refined_grid, make_uniform_grid,
+    DatasetError, PopulationTag, ScoreSample, from_arrays, load_dataset, make_refined_grid,
+    make_uniform_grid,
 )
 from mixroc.ensemble import MgConfig, mg_pipeline
 from mixroc.gmm import (
@@ -84,9 +85,43 @@ class TestFitEm:
         for trace in traces:
             assert np.all(np.diff(trace) >= -1e-9)
 
+    def test_starved_restarts_fail(self):
+        # every restart at K=3 starves a component on these 30 scores
+        sample = sample_of(np.random.default_rng(34).normal(0, 1, 30))
+        config = EmConfig(seed=0, n_restarts=3)
+        model, traces = fit_em(sample, 3, config, return_trace=True)
+        assert model.log_likelihood == -np.inf and bic(model) == np.inf
+        for trace in traces:  # each stops at the starving E-step, monotone up to there
+            assert len(trace) < config.max_iter + 1
+            assert np.all(np.diff(trace) >= 0.0)
+        with pytest.raises(gmm.EmCollapseError, match="starved"):
+            select_k(sample, EmConfig(k_min=3, k_max=3, seed=0, n_restarts=3))
+        assert np.isfinite(bic(select_k(sample, config)))
+
+    def test_surviving_restart_wins(self):
+        # restarts 0 and 1 starve at K=3 on these 30 scores, restart 2 does not
+        sample = sample_of(np.random.default_rng(0).normal(0, 1, 30))
+        lls = [fit_em(sample, 3, EmConfig(seed=0, n_restarts=r)).log_likelihood for r in (1, 2, 3)]
+        assert lls[:2] == [-np.inf, -np.inf] and np.isfinite(lls[2])
+        assert fit_em(sample, 3, EmConfig(seed=0, n_restarts=3)).log_likelihood == lls[2]
+
+    @pytest.mark.parametrize("scores", [[0.0, 1.0, 1e200], [-1e308, 0.0, 1e308],
+                                        [1e-300, 2e-300, 3e-300]],
+                             ids=["1e200", "overflow", "1e-300"])
+    def test_range_beyond_float_squares_rejected(self, scores):
+        with pytest.raises(DatasetError, match=r"score range .* is outside \[1e-150, 1e150\]"):
+            fit_em(sample_of(scores), 1)
+
+    @pytest.mark.parametrize("scores", [[0.0, 0.5, 1e150], [0.0, 0.5e-150, 1e-150], [1e200] * 3],
+                             ids=["largest", "smallest", "zero"])
+    def test_range_at_bounds_or_zero_fits(self, scores):
+        with np.errstate(all="raise"):
+            model = fit_em(sample_of(scores), 1)
+        assert np.isfinite(model.log_likelihood) and np.all(model.variances > 0.0)
+
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_max_iter_counts_m_steps(self, max_iter):
-        # well separated: no restart starves, so no trace is cleared
+        # well separated: no restart starves, so each runs all max_iter M-steps
         rng = np.random.default_rng(3)
         data = np.concatenate([rng.normal(0, 1, 120), rng.normal(6, 0.5, 80)])
         config = EmConfig(max_iter=max_iter, n_restarts=3, seed=1)
@@ -147,6 +182,15 @@ class TestSelectK:
         data = rng.normal(0, 1, 200)
         model = select_k(sample_of(data), EmConfig(k_min=3, k_max=3))
         assert model.k == 3
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_k_capped_so_parameters_stay_below_n(self, n):
+        # without the cap 2 scores took K=2 and 5 scores K=5, every variance on the floor
+        assert select_k(sample_of(np.arange(float(n)))).k == 1
+
+    def test_k_min_above_cap_rejected(self):
+        with pytest.raises(ValueError, match=r"allows K <= 1 \(3K - 1 < n\)"):
+            select_k(sample_of(np.arange(5.0)), EmConfig(k_min=2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_no_floor_spike_on_ca125_controls(self, seed):

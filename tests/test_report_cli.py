@@ -262,6 +262,20 @@ class TestCliProcess:
         proc = self.cli("--input", DATA, "--pauc", "zz", "--out", str(tmp_path))
         assert proc.returncode == EXIT_INPUT
 
+    @pytest.mark.parametrize("scores, estimators", [
+        ("0\n1\n2\n3\n1e200\n", "empirical,binormal,mg"),
+        ("".join(f"{i}e-300\n" for i in range(1, 11)), "mg"),
+    ], ids=["range-1e200", "spacing-1e-300"])
+    def test_unrepresentable_score_range_exits_2(self, tmp_path, scores, estimators):
+        controls, cases = tmp_path / "controls.txt", tmp_path / "cases.txt"
+        controls.write_text(scores)
+        cases.write_text("0\n1\n2\n3\n4\n")
+        proc = self.cli("--non-diseased", str(controls), "--diseased", str(cases),
+                        "--estimators", estimators, "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error: non_diseased score range ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
     def test_pancreatic_demo_runs_from_any_directory(self, tmp_path):
         proc = self.python(str(ROOT / "demos" / "04_pancreatic_study.py"), cwd=tmp_path)
         assert proc.returncode == EXIT_OK, proc.stderr
