@@ -1,9 +1,10 @@
 """Command-line front end.
 
 `analyse` runs the selected estimators on one shared FPR grid for a
-study in memory. `run` loads a study, analyses it and writes a report
-(json, csv or text table), per-curve CSVs, fitted model JSONs, optional
-SVG plots and an optional replicate-matrix dump.
+study in memory. `_render` turns its results into the text of every
+output file: a report (json, csv or text table), per-curve CSVs, fitted
+model JSONs, optional SVG plots and an optional replicate-matrix dump.
+`run` loads a study, analyses it, renders it and only then writes.
 
 Exit statuses: 0 success, 2 input/validation error, 3 numerical failure,
 4 I/O error.
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -110,14 +113,18 @@ def _load(config: RunConfig) -> LabeledDataset:
 
 
 def run(config: RunConfig) -> Report:
-    """Load the study, `analyse` it and write the outputs.
+    """Load the study, `analyse` it, `_render` every output, then write them.
 
-    Everything is computed before the first file is written, so a failed
-    run leaves no partial outputs behind.
+    `--out` is created only once every file is rendered, so a run that
+    fails in loading, analysis or rendering writes nothing.
     """
     dataset = _load(config)
     report, curves, mg_result = analyse(dataset, config)
-    _write_outputs(config, report, curves, mg_result, dataset)
+    files = _render(config, report, curves, mg_result, dataset)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
     return report
 
 
@@ -206,70 +213,47 @@ def analyse(
     return report, curves, mg_result
 
 
-def _repr_rows(rows):
-    """Rows of numbers as the exact (repr) text of each value."""
-    return ([repr(float(v)) for v in row] for row in rows)
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows; numbers as the exact (repr) text of each value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
+                     for row in itertools.chain([header], rows))
+    return buf.getvalue()
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_outputs(config, report, curves, mg_result, dataset) -> None:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+def _render(config, report, curves, mg_result, dataset) -> dict[str, str]:
+    """Every file a run writes, as file name -> text; writes nothing."""
     if config.report_format == "json":
-        (out / "report.json").write_text(report.to_json() + "\n")
+        files = {"report.json": report.to_json() + "\n"}
     elif config.report_format == "csv":
-        _write_csv(
-            out / "report.csv",
+        files = {"report.csv": _csv_text(
             ["estimator", "auc_trapezoidal", "auc_mann_whitney"],
-            [
-                [name, entry.get("auc_trapezoidal"), entry.get("auc_mann_whitney")]
-                for name, entry in report.estimators.items()
-            ],
-        )
+            [[name, entry["auc_trapezoidal"], entry["auc_mann_whitney"]]
+             for name, entry in report.estimators.items()],
+        )}
     else:
-        (out / "report.txt").write_text(compare_table([report]))
+        files = {"report.txt": compare_table([report])}
 
     for name, curve in curves.items():
-        rows = _repr_rows(zip(curve.grid.points, curve.tpr))
-        _write_csv(out / f"curve_{name}.csv", ["t", "tpr"], rows)
+        files[f"curve_{name}.csv"] = _csv_text(["t", "tpr"], zip(curve.grid.points, curve.tpr))
 
     if mg_result is not None:
-        _write_csv(
-            out / "mg_bands.csv",
+        points = mg_result.mean_curve.grid.points
+        files["mg_bands.csv"] = _csv_text(
             ["t", "mean", "se", "ci_lower", "ci_upper", "env_lower", "env_upper"],
-            _repr_rows(zip(
-                mg_result.mean_curve.grid.points,
-                mg_result.mean_curve.tpr,
-                mg_result.se,
-                mg_result.ci_lower,
-                mg_result.ci_upper,
-                mg_result.env_lower,
-                mg_result.env_upper,
-            )),
+            zip(points, mg_result.mean_curve.tpr, mg_result.se, mg_result.ci_lower,
+                mg_result.ci_upper, mg_result.env_lower, mg_result.env_upper),
         )
         for population, model in report.estimators["mg"]["models"].items():
-            (out / f"model_{population}.json").write_text(json.dumps(model) + "\n")
+            files[f"model_{population}.json"] = json.dumps(model) + "\n"
         if config.dump_replicates:
-            _write_csv(
-                out / "replicates.csv",
-                [repr(float(t)) for t in mg_result.mean_curve.grid.points],
-                _repr_rows(mg_result.replicate_matrix),
-            )
+            files["replicates.csv"] = _csv_text(points, mg_result.replicate_matrix)
 
     if config.plots:
-        (out / "histogram_non_diseased.svg").write_text(
-            histogram_svg(dataset.non_diseased.scores, "Non-diseased scores")
-        )
-        (out / "histogram_diseased.svg").write_text(
-            histogram_svg(dataset.diseased.scores, "Diseased scores")
-        )
+        files["histogram_non_diseased.svg"] = histogram_svg(
+            dataset.non_diseased.scores, "Non-diseased scores")
+        files["histogram_diseased.svg"] = histogram_svg(dataset.diseased.scores, "Diseased scores")
         band = None
         if mg_result is not None:
             band = (mg_result.mean_curve.grid.points, mg_result.env_lower, mg_result.env_upper)
@@ -281,7 +265,8 @@ def _write_outputs(config, report, curves, mg_result, dataset) -> None:
                 curve_specs.append((name, fpr, tpr))
             else:
                 curve_specs.append((name, curve.grid.points, curve.tpr))
-        (out / "roc_overlay.svg").write_text(roc_overlay_svg(curve_specs, band=band))
+        files["roc_overlay.svg"] = roc_overlay_svg(curve_specs, band=band)
+    return files
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -105,10 +105,27 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"])
 
 
+def _bin_edges(scores: np.ndarray, bins: int) -> np.ndarray:
+    """The edges `np.histogram(scores, bins)` uses, merged where they would repeat.
+
+    A range of a few ulps holds fewer than `bins` distinct edges, and above
+    2**53 numpy's ±0.5 widening of a zero range is no widening; `np.histogram`
+    raises on both, while these edges give as many bins as the range holds.
+    """
+    lo, hi = float(scores.min()), float(scores.max())
+    if lo == hi:  # numpy's widening, by at least one float each way
+        lo = min(lo - 0.5, np.nextafter(lo, -np.inf))
+        hi = max(hi + 0.5, np.nextafter(hi, np.inf))
+    return np.unique(np.linspace(lo, hi, bins + 1))
+
+
 def histogram_svg(scores, title: str) -> str:
-    """Density-scaled 30-bin histogram of one population's scores."""
+    """Density-scaled 30-bin histogram of one population's scores.
+
+    A range too narrow for 30 distinct bin edges gets fewer bins.
+    """
     scores = np.asarray(scores, dtype=float)
-    counts, edges = np.histogram(scores, bins=30)
+    counts, edges = np.histogram(scores, bins=_bin_edges(scores, 30))
     density = counts / (counts.sum() * np.diff(edges))
     top = float(density.max()) * 1.08 if density.max() > 0 else 1.0
     canvas = _Canvas(float(edges[0]), float(edges[-1]), 0.0, top)

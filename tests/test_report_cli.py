@@ -14,7 +14,8 @@ import pytest
 
 import mixroc
 from mixroc.cli import (
-    EXIT_INPUT, EXIT_IO, EXIT_OK, RunConfig, analyse, build_parser, config_from_args, main, run,
+    EXIT_INPUT, EXIT_IO, EXIT_OK, RunConfig, _render, analyse, build_parser, config_from_args, main,
+    run,
 )
 from mixroc.datasets import load_dataset, make_uniform_grid
 from mixroc.ensemble import MgConfig
@@ -143,6 +144,17 @@ class TestAnalyse:
         assert set(curves) == set(report.estimators)
         assert mg_result.auc_mean == report.estimators["mg"]["auc_trapezoidal"]
         assert report == run(config)
+
+    @pytest.mark.parametrize("report_format", ["json", "csv", "table"])
+    def test_render_is_what_run_writes(self, tmp_path, report_format):
+        config = fast_config(tmp_path, report_format=report_format, plots=True,
+                             dump_replicates=True, pauc_intervals=((0.0, 0.5),))
+        dataset = load_dataset(config.input_path)
+        files = _render(config, *analyse(dataset, config), dataset)
+        assert not (tmp_path / "out").exists()
+        run(config)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert written == {name: text.encode() for name, text in files.items()}
 
 
 class TestCompareTable:
@@ -332,6 +344,35 @@ class TestMainInProcess:
             "--mc-reps", "1", "--out", str(tmp_path),
         ])
         assert code == EXIT_INPUT
+
+    def test_render_failure_writes_nothing(self, tmp_path, monkeypatch):
+        import mixroc.cli as cli_mod
+
+        def fail(*args, **kwargs):
+            raise ValueError("cannot draw")
+
+        monkeypatch.setattr(cli_mod, "roc_overlay_svg", fail)
+        out = tmp_path / "out"
+        code = main([
+            "--input", DATA, "--score-col", "ca125", "--label-col", "status",
+            "--estimators", "empirical,binormal", "--plots", "--out", str(out),
+        ])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
+    def test_scores_a_few_ulps_apart_plot(self, tmp_path):
+        # numpy cannot cut this control range into 30 histogram bins
+        controls, cases = tmp_path / "controls.txt", tmp_path / "cases.txt"
+        controls.write_text(f"1\n{1 + 2**-52!r}\n{1 + 2**-51!r}\n")
+        cases.write_text("3\n4\n5\n6\n")
+        out = tmp_path / "out"
+        code = main(["--non-diseased", str(controls), "--diseased", str(cases),
+                     "--estimators", "empirical", "--plots", "--out", str(out)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "curve_empirical.csv", "histogram_diseased.svg", "histogram_non_diseased.svg",
+            "report.json", "roc_overlay.svg",
+        ]
 
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "blocker"
