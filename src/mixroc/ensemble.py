@@ -1,13 +1,13 @@
 """Monte Carlo ensemble of replica ROC curves from fitted mixtures.
 
-Each replicate draws a synthetic study (one sample per population) from
-the fitted mixtures and computes its empirical ROC on the shared grid
-and its AUCs with the row kernels of :mod:`mixroc.roc`, the same ones
-behind the single-study functions. The ensemble mean is the curve
-estimate; per-point standard errors give a mean confidence band,
-pointwise quantiles give an envelope band. Replicate l draws from the
-stream (l,) of the master seed. Replicates are reduced in blocks of rows
-whose arithmetic does not depend on which rows share a block, so the same
+Each replicate draws a synthetic study (one array per population) from the
+fitted mixtures. A block of replicates is sorted once per population, and
+the row kernels of :mod:`mixroc.roc`, shared with the single-study
+functions, give each row's empirical ROC on the shared grid and its AUCs.
+The ensemble mean is the curve estimate; per-point standard errors give a
+mean confidence band, pointwise quantiles an envelope band. Replicate l
+draws from the stream (l,) of the master seed. Blocks are reduced with
+arithmetic that does not depend on which rows share a block, so the same
 seed gives bit-identical results for any block size or execution order.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtri
 
-from .datasets import FprGrid, LabeledDataset, PopulationTag, make_uniform_grid
+from .datasets import FprGrid, LabeledDataset, make_uniform_grid
 from .gmm import EmConfig, GmmModel, _check_seed, _stream, sample_from, select_k
 
 # auc_mann_whitney and empirical_roc stay importable here because
@@ -89,11 +89,11 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     """Generate and average the ensemble of replica ROC curves.
 
     Replicate l draws its two samples from the stream (l,) of the master
-    seed. Replicates are processed in blocks of rows: the sorted samples
-    of a block fill two score matrices, and the row kernels of
-    :mod:`mixroc.roc` compute thresholds, TPR, trapezoid AUC and
-    Mann-Whitney AUC over the whole block, so each row equals
-    :func:`empirical_roc`, :func:`auc_trapezoid` and
+    seed. Replicates are processed in blocks of rows: the draws of a block
+    fill two score matrices, each sorted along its rows by one `np.sort`,
+    and the row kernels of :mod:`mixroc.roc` compute thresholds, TPR,
+    trapezoid AUC and Mann-Whitney AUC over the whole block, so each row
+    equals :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
     index, so they do not depend on the block size. The M x grid matrix
     of replicate curves is returned as `replicate_matrix`.
@@ -114,10 +114,8 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
         block = slice(start, min(start + block_rows, m))
         # each replicate's stream draws its x sample before its y sample
         rngs = [_stream(config.seed, l) for l in range(start, block.stop)]
-        x = np.array([sample_from(f_model, n_x, rng, PopulationTag.NON_DISEASED).scores
-                      for rng in rngs])
-        y = np.array([sample_from(g_model, n_y, rng, PopulationTag.DISEASED).scores
-                      for rng in rngs])
+        x = np.sort([sample_from(f_model, n_x, rng) for rng in rngs], axis=1)
+        y = np.sort([sample_from(g_model, n_y, rng) for rng in rngs], axis=1)
         tpr = _tpr_rows(y, _row_quantiles(x, plan), t)
         curves[block] = tpr
         aucs[block] = _trapezoid_rows(tpr, t)

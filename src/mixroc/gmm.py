@@ -340,18 +340,10 @@ def survival_inverse(model: GmmModel, t):
     return find_root(gap, (c_k.min(axis=1) - pad, c_k.max(axis=1) + pad), args=(sign, target)).x
 
 
-def sample_from(
-    model: GmmModel,
-    n: int,
-    rng: np.random.Generator,
-    tag: PopulationTag = PopulationTag.NON_DISEASED,
-) -> ScoreSample:
-    """Draw n scores: component index from categorical(weights), then normal.
+def sample_from(model: GmmModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
+    """Draw n scores, unsorted in draw order: component from categorical(weights), then normal.
 
     Deterministic given the generator state; the caller owns the stream.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 draws, got {n}")
     comp = rng.choice(model.k, size=n, p=model.weights)
-    draws = model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)
-    return ScoreSample(draws, tag, "simulated")
+    return model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)

@@ -46,12 +46,20 @@ def _quantile_plan(n: int, q: NDArray[np.float64]):
 
 
 def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
-    """Quantiles of each sorted row, with numpy's lerp form (b - d(1-g) for g >= 0.5)."""
+    """Quantiles of each sorted row, with numpy's lerp form (b - d(1-g) for g >= 0.5).
+
+    Where d = b - a overflows (a < 0 < b more than the largest float apart),
+    a(1-g) + b g is used instead: its two terms have opposite signs, so it stays finite.
+    """
     lo, hi, gamma = plan
     a = rows[:, lo]
     b = rows[:, hi]
-    d = b - a
-    return np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma)
+    # ignored: the overflow of d and its nan lerp, both replaced below, and a(1-g) + b g
+    # at clamped indices (a = b, gamma outside [0, 1]), where d = 0 keeps the lerp
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = b - a
+        lerp = np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma)
+        return np.where(np.isinf(d), a * (1.0 - gamma) + b * gamma, lerp)
 
 
 def _count_le(sorted_rows: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.intp]:

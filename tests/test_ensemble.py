@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
+from scipy.stats import beta, rankdata
 
 from mixroc import ensemble, roc
 from mixroc.datasets import (
     FprGrid,
-    PopulationTag,
     from_arrays,
     make_refined_grid,
     make_uniform_grid,
 )
 from mixroc.ensemble import MgConfig, mg_pipeline, run_mg
-from mixroc.gmm import EmConfig, GmmModel, sample_from
+from mixroc.gmm import EmConfig, GmmModel, sample_from, survival, survival_inverse
 from mixroc.roc import RocCurveGrid, auc_mann_whitney, auc_trapezoid, empirical_roc
 
 GRID = make_uniform_grid(512)
@@ -253,8 +252,8 @@ def test_run_mg_matches_per_replicate_loop():
     mws = np.empty(config.m)
     for l, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.m)):
         rng = np.random.default_rng(child)
-        xs = sample_from(f, config.replicate_n_x, rng, PopulationTag.NON_DISEASED).scores
-        ys = sample_from(g, config.replicate_n_y, rng, PopulationTag.DISEASED).scores
+        xs = np.sort(sample_from(f, config.replicate_n_x, rng))
+        ys = np.sort(sample_from(g, config.replicate_n_y, rng))
         curves[l] = frozen_roc(xs, ys, grid.points)
         aucs[l] = frozen_trapezoid(curves[l], grid.points)
         mws[l] = frozen_mann_whitney(xs, ys)
@@ -275,6 +274,49 @@ def test_run_mg_matches_per_replicate_loop():
     np.testing.assert_array_equal(res.env_upper, np.clip(np.maximum(env_upper, mean_tpr), 0.0, 1.0))
     assert res.auc_mean == frozen_trapezoid(RocCurveGrid(grid, mean_tpr).tpr, grid.points)
     assert res.auc_se == float(np.std(aucs, ddof=1))
+
+
+def exact_knot_moments(f, g, n_x, n_y, panels):
+    """Exact mean and sd of the empirical TPR at the knots t = j/n_x, j = 0..n_x-1.
+
+    At t = j/n_x the threshold is the order statistic X_(n_x-j), and F(X_(n_x-j))
+    is Beta(n_x-j, j+1); with S = G-survival at that threshold,
+    E[R] = E[S] and Var R = E[S(1-S)]/n_y + Var S. The expectations over u = F(X)
+    are composite 16-point Gauss-Legendre sums on `panels` equal panels of [0, 1].
+    S(F^-1(u)) is not smooth at u = 1, where only j = 0 (the sample maximum)
+    puts weight without a (1-u)^j factor, so that knot converges slowest.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 / panels
+    u = ((np.arange(panels) * 2 + 1)[:, None] * half + half * nodes[None, :]).ravel()
+    s = survival(g, survival_inverse(f, 1.0 - u))
+    j = np.arange(n_x)[:, None]
+    w = np.tile(weights * half, panels)[None, :] * beta.pdf(u[None, :], n_x - j, j + 1)
+    mean = w @ s
+    var = w @ (s * (1.0 - s)) / n_y + w @ (s * s) - mean**2
+    return mean, np.sqrt(var)
+
+
+def test_run_mg_matches_exact_expectation():
+    """The ensemble mean and per-point sd against their exact values at every knot."""
+    f = GmmModel([0.7, 0.3], [0.0, 2.0], [1.0, 0.5])
+    g = GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])
+    n_x, n_y, m = 51, 90, 4000
+    mean, sd = exact_knot_moments(f, g, n_x, n_y, 1024)
+    coarse = exact_knot_moments(f, g, n_x, n_y, 256)
+    # 256 against 1024 panels: 1e-8 at j >= 1; 1e-6 at t = 0, still a thousand
+    # times below the Monte Carlo standard error sd/sqrt(M) of about 1e-3
+    for fine, rough in zip((mean, sd), coarse):
+        assert abs(rough[0] - fine[0]) <= 1e-6
+        np.testing.assert_allclose(rough[1:], fine[1:], rtol=0, atol=1e-8)
+
+    grid = FprGrid(np.concatenate([np.arange(n_x) / n_x, [1.0]]))
+    res = run_mg(f, g, MgConfig(m=m, seed=0, grid=grid, replicate_n_x=n_x, replicate_n_y=n_y))
+    # bounds fixed before the first run: |z| <= 5 at every knot, sd ratio in [0.85, 1.15]
+    z = (res.mean_curve.tpr[:-1] - mean) / (sd / np.sqrt(m))
+    assert np.max(np.abs(z)) <= 5.0
+    assert np.all((res.se[:-1] / sd >= 0.85) & (res.se[:-1] / sd <= 1.15))
+    assert res.mean_curve.tpr[-1] == 1.0 and res.se[-1] == 0.0
 
 
 class TestPipeline:

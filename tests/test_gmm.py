@@ -427,11 +427,11 @@ class TestSampleFrom:
         model = GmmModel([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
         a = sample_from(model, 100, np.random.default_rng(4))
         b = sample_from(model, 100, np.random.default_rng(4))
-        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a, b)
 
     def test_component_fractions(self):
         model = GmmModel([0.7, 0.3], [-50.0, 50.0], [1.0, 1.0])
-        draws = sample_from(model, 100_000, np.random.default_rng(8)).scores
+        draws = sample_from(model, 100_000, np.random.default_rng(8))
         frac = np.mean(draws < 0)  # components are 100 sigma apart
         assert frac == pytest.approx(0.7, abs=0.01)
 
@@ -439,12 +439,8 @@ class TestSampleFrom:
         floor = 1e-6
         model = GmmModel([1.0], [5.0], [floor])
         n = 10_000
-        draws = sample_from(model, n, np.random.default_rng(15)).scores
+        draws = sample_from(model, n, np.random.default_rng(15))
         assert abs(draws.mean() - 5.0) < 3 * np.sqrt(floor / n)
-
-    def test_minimum_draws(self):
-        with pytest.raises(ValueError):
-            sample_from(GmmModel([1.0], [0.0], [1.0]), 1, np.random.default_rng(0))
 
 
 class TestModelValidation:
@@ -502,27 +498,24 @@ def test_collapse_error_when_every_restart_diverges(monkeypatch):
 def test_every_stream_is_distinct(monkeypatch):
     # one stream per EM restart (population, K, restart) and per replicate,
     # also across seeds 0, 1000 and 500_000, which integer seed offsets would alias
-    em_states, replicate_states = [], []
-    em_single, draw = gmm._em_single, ensemble.sample_from
+    stream = gmm._stream
+    made = {gmm: [], ensemble: []}  # initial states, by the module that made the stream
 
-    def recording_em(x, k, config, floor, rng):
-        em_states.append(rng.bit_generator.state["state"]["state"])
-        return em_single(x, k, config, floor, rng)
-
-    def recording_draw(model, n, rng, tag=PopulationTag.NON_DISEASED):
-        if tag is PopulationTag.NON_DISEASED:  # the first draw of a replicate
-            replicate_states.append(rng.bit_generator.state["state"]["state"])
-        return draw(model, n, rng, tag)
-
-    monkeypatch.setattr(gmm, "_em_single", recording_em)
-    monkeypatch.setattr(ensemble, "sample_from", recording_draw)
+    for module, states in made.items():
+        def recording_stream(seed, *key, states=states):
+            rng = stream(seed, *key)
+            states.append(rng.bit_generator.state["state"]["state"])
+            return rng
+        monkeypatch.setattr(module, "_stream", recording_stream)
     rng = np.random.default_rng(4)
     study = from_arrays(rng.normal(0.0, 1.0, 40), rng.normal(1.0, 1.0, 40))
     for seed in (0, 1000, 500_000):
         mg_pipeline(study, EmConfig(k_max=3, n_restarts=2, max_iter=5, seed=seed),
                     MgConfig(m=2, seed=seed, grid=make_uniform_grid(8)))
+    em_states, replicate_states = made[gmm], made[ensemble]
     assert len(em_states) == 36 and len(set(em_states)) == 36
-    assert len(replicate_states) == 6 and not set(replicate_states) & set(em_states)
+    assert len(replicate_states) == 6 and len(set(replicate_states)) == 6
+    assert not set(replicate_states) & set(em_states)
 
 
 class TestEmConfigValidation:

@@ -374,6 +374,18 @@ class TestMainInProcess:
             "report.json", "roc_overlay.svg",
         ]
 
+    def test_controls_wider_than_the_float_range(self, tmp_path):
+        # max - min of the controls overflows; the interpolated thresholds must not
+        controls, cases = tmp_path / "controls.txt", tmp_path / "cases.txt"
+        controls.write_text("-1e308\n1e308\n")
+        cases.write_text("3\n4\n5\n6\n")
+        out = tmp_path / "out"
+        code = main(["--non-diseased", str(controls), "--diseased", str(cases),
+                     "--estimators", "empirical", "--out", str(out)])
+        assert code == EXIT_OK
+        entry = json.loads((out / "report.json").read_text())["estimators"]["empirical"]
+        assert entry["auc_trapezoidal"] == pytest.approx(0.7505, abs=1e-4)
+
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

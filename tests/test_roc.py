@@ -78,6 +78,15 @@ class TestEmpiricalRoc:
         step = empirical_roc(ds, grid, interpolate=False)
         np.testing.assert_allclose(smooth.tpr, step.tpr, atol=1e-12)
 
+    def test_controls_wider_than_the_float_range(self):
+        # the two controls lie 2**1024 apart, beyond the largest float; scaled
+        # by 2**-1023 every value stays a normal float and the curve is unchanged
+        cases = np.arange(3.0, 7.0)
+        wide = empirical_roc(from_arrays([-2.0**1023, 2.0**1023], cases), GRID)
+        unit = empirical_roc(from_arrays([-1.0, 1.0], cases * 2.0**-1023), GRID)
+        np.testing.assert_array_equal(wide.tpr, unit.tpr)
+        assert auc_trapezoid(wide) == auc_trapezoid(unit) == pytest.approx(0.7505, abs=1e-4)
+
 
 class TestOperatingPoints:
     def test_three_point_example(self):
