@@ -21,7 +21,7 @@ scores = np.where(
     rng.lognormal(mean=3.2, sigma=0.35, size=400),
     rng.normal(loc=8.0, scale=2.0, size=400),
 )
-sample = ScoreSample(scores, PopulationTag.DISEASED, "demo")
+sample = ScoreSample(scores, PopulationTag.DISEASED)
 
 print("BIC across component counts:")
 for k in range(1, 6):

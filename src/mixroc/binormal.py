@@ -42,10 +42,11 @@ def fit_binormal(dataset: LabeledDataset) -> BinormalParams:
     _check_fit_range(dataset.diseased)
     x = dataset.non_diseased.scores
     y = dataset.diseased.scores
+    # exact on the sorted scores, where a rounded moment of equal values need not be 0
+    if x[0] == x[-1] or y[0] == y[-1]:
+        raise ValueError("a population has zero variance; binormal fit undefined")
     sigma_n = float(np.std(x, ddof=1))
     sigma_d = float(np.std(y, ddof=1))
-    if sigma_n == 0.0 or sigma_d == 0.0:
-        raise ValueError("a population has zero variance; binormal fit undefined")
     mu_n = float(np.mean(x))
     mu_d = float(np.mean(y))
     return BinormalParams(

@@ -29,7 +29,6 @@ from . import __version__
 from .binormal import binormal_auc, binormal_curve, fit_binormal
 from .datasets import (
     DEFAULT_GRID_SIZE,
-    DatasetError,
     LabeledDataset,
     load_dataset,
     load_two_files,
@@ -202,7 +201,7 @@ def analyse(
 
     report = Report(
         dataset={
-            "source_name": dataset.non_diseased.source_name or "dataset",
+            "source_name": dataset.source_name or "dataset",
             "n_non_diseased": dataset.n_x,
             "n_diseased": dataset.n_y,
         },
@@ -340,12 +339,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         report = run(config)
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EmCollapseError as exc:

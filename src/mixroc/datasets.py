@@ -52,13 +52,10 @@ class ScoreSample:
         where its square is a normal float, and raise :class:`DatasetError` if not.
     population_tag : PopulationTag
         Which population the scores come from.
-    source_name : str
-        Free-text label for reports.
     """
 
     scores: NDArray[np.float64]
     population_tag: PopulationTag
-    source_name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "scores", _validate_scores(self.scores))
@@ -78,10 +75,11 @@ def _check_fit_range(sample: ScoreSample) -> None:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A non-diseased and a diseased :class:`ScoreSample`, one of each."""
+    """One :class:`ScoreSample` per population and the study's name for reports."""
 
     non_diseased: ScoreSample
     diseased: ScoreSample
+    source_name: str = ""
 
     def __post_init__(self):
         if self.non_diseased.population_tag is not PopulationTag.NON_DISEASED:
@@ -151,10 +149,8 @@ def make_refined_grid(count: int = 4096) -> FprGrid:
 
 def from_arrays(non_diseased, diseased, source_name: str = "") -> LabeledDataset:
     """Build a dataset from two raw score arrays."""
-    return LabeledDataset(
-        non_diseased=ScoreSample(non_diseased, PopulationTag.NON_DISEASED, source_name),
-        diseased=ScoreSample(diseased, PopulationTag.DISEASED, source_name),
-    )
+    return LabeledDataset(ScoreSample(non_diseased, PopulationTag.NON_DISEASED),
+                          ScoreSample(diseased, PopulationTag.DISEASED), source_name)
 
 
 def _parse_score(text: str, path: Path, line: int) -> float:
@@ -168,10 +164,10 @@ def _parse_score(text: str, path: Path, line: int) -> float:
     return score
 
 
-def _sample(scores, tag: PopulationTag, name: str, path: Path) -> ScoreSample:
+def _sample(scores, tag: PopulationTag, path: Path) -> ScoreSample:
     """The sample of `scores` read from `path`; a rejection names the file."""
     try:
-        return ScoreSample(scores, tag, name)
+        return ScoreSample(scores, tag)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 
@@ -224,22 +220,22 @@ def load_dataset(
                 ys.append(score)
             else:
                 raise DatasetError(f"{path}:{line}: unknown label {raw_label!r}")
-    name = source_name if source_name is not None else path.stem
-    return LabeledDataset(_sample(xs, PopulationTag.NON_DISEASED, name, path),
-                          _sample(ys, PopulationTag.DISEASED, name, path))
+    return LabeledDataset(_sample(xs, PopulationTag.NON_DISEASED, path),
+                          _sample(ys, PopulationTag.DISEASED, path),
+                          source_name if source_name is not None else path.stem)
 
 
 def load_two_files(non_diseased_path, diseased_path, source_name: str | None = None) -> LabeledDataset:
     """Load the two-file layout: one score per line, one file per population."""
-    name = source_name if source_name is not None else Path(non_diseased_path).stem
 
     def read_sample(path, tag: PopulationTag) -> ScoreSample:
         path = Path(path)
         with _open_input(path) as fh:
             lines = enumerate(map(str.strip, fh.read().splitlines()), start=1)
-        return _sample([_parse_score(line, path, i) for i, line in lines if line], tag, name, path)
+        return _sample([_parse_score(line, path, i) for i, line in lines if line], tag, path)
 
     return LabeledDataset(
         read_sample(non_diseased_path, PopulationTag.NON_DISEASED),
         read_sample(diseased_path, PopulationTag.DISEASED),
+        source_name if source_name is not None else Path(non_diseased_path).stem,
     )

@@ -13,7 +13,7 @@ seed gives bit-identical results for any block size or execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,8 +39,8 @@ _BLOCK_SCORES = 2**14
 class MgConfig:
     """Ensemble settings: M replicates, band level, replicate sizes, FPR grid, seed.
 
-    `replicate_n_x` / `replicate_n_y` default to the observed sample sizes,
-    filled in by :func:`mg_pipeline`; :func:`run_mg` needs them set.
+    `replicate_n_x` / `replicate_n_y` default to the `n_train` of the fitted
+    models, so models from :func:`select_k` give replicates of the observed sizes.
     `grid`, 512 uniform points by default, is the one grid of a CLI run,
     shared by every estimator.
     """
@@ -96,15 +96,16 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     equals :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
     index, so they do not depend on the block size. The M x grid matrix
-    of replicate curves is returned as `replicate_matrix`.
+    of replicate curves is returned as `replicate_matrix`. Replicate sizes
+    unset in `config` are the models' `n_train`, and must be at least 2.
     """
-    if config.replicate_n_x is None or config.replicate_n_y is None:
-        raise ValueError(
-            "replicate_n_x and replicate_n_y must be set; mg_pipeline fills them from the dataset"
-        )
+    n_x = config.replicate_n_x or f_model.n_train
+    n_y = config.replicate_n_y or g_model.n_train
+    if min(n_x, n_y) < 2:
+        raise ValueError(f"replicate sizes must be >= 2, got {n_x} and {n_y}: set replicate_n_x/_y")
     grid = config.grid
     t = grid.points
-    m, n_x, n_y = config.m, config.replicate_n_x, config.replicate_n_y
+    m = config.m
     plan = _quantile_plan(n_x, 1.0 - t)
     block_rows = max(1, _BLOCK_SCORES // (n_x + n_y + grid.count))
     curves = np.empty((m, grid.count))
@@ -158,12 +159,9 @@ def mg_pipeline(
 ) -> tuple[GmmModel, GmmModel, MgEnsembleResult]:
     """Fit both populations (BIC-selected K) and run the ensemble.
 
-    Replicate sample sizes default to the observed study sizes so that the
-    band width reflects the study's own sampling uncertainty.
+    Replicate sizes default to the observed sizes, each model's `n_train`, so
+    the band width reflects the study's own sampling uncertainty.
     """
     f_model = select_k(dataset.non_diseased, em_config)
     g_model = select_k(dataset.diseased, em_config)
-    config = replace(mg_config, replicate_n_x=mg_config.replicate_n_x or dataset.n_x,
-                     replicate_n_y=mg_config.replicate_n_y or dataset.n_y)
-    result = run_mg(f_model, g_model, config)
-    return f_model, g_model, result
+    return f_model, g_model, run_mg(f_model, g_model, mg_config)

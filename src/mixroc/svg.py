@@ -37,7 +37,8 @@ class _Canvas:
         ]
 
     def px(self, x: float) -> float:
-        frac = (x - self.x_lo) / (self.x_hi - self.x_lo)
+        # on quarters, exact for normal floats, so a span beyond the largest float stays finite
+        frac = (x / 4 - self.x_lo / 4) / (self.x_hi / 4 - self.x_lo / 4)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y: float) -> float:
@@ -116,18 +117,25 @@ def _bin_edges(scores: np.ndarray, bins: int) -> np.ndarray:
     if lo == hi:  # numpy's widening, by at least one float each way
         lo = min(lo - 0.5, np.nextafter(lo, -np.inf))
         hi = max(hi + 0.5, np.nextafter(hi, np.inf))
-    return np.unique(np.linspace(lo, hi, bins + 1))
+    edges = np.linspace(lo / 4, hi / 4, bins + 1) * 4  # quarters, as in `_Canvas.px`
+    edges[[0, -1]] = lo, hi  # a quarter rounds below 2**-1020
+    return np.unique(edges)
 
 
 def histogram_svg(scores, title: str) -> str:
     """Density-scaled 30-bin histogram of one population's scores.
 
-    A range too narrow for 30 distinct bin edges gets fewer bins.
+    A range too narrow for 30 distinct bin edges gets fewer bins. A density
+    axis that leaves the float range raises :class:`ValueError`.
     """
     scores = np.asarray(scores, dtype=float)
     counts, edges = np.histogram(scores, bins=_bin_edges(scores, 30))
-    density = counts / (counts.sum() * np.diff(edges))
-    top = float(density.max()) * 1.08 if density.max() > 0 else 1.0
+    with np.errstate(over="ignore"):  # scores a few subnormals apart, or n * bin width > 1e308
+        density = counts / (counts.sum() * np.diff(edges))
+        top = float(density.max()) * 1.08
+    if not 0.0 < top < np.inf:
+        raise ValueError(f"{title}: the density of the span {scores.min():.3g} to "
+                         f"{scores.max():.3g} leaves the float range; rescale the scores")
     canvas = _Canvas(float(edges[0]), float(edges[-1]), 0.0, top)
     canvas.title(title)
     for d, lo, hi in zip(density, edges[:-1], edges[1:]):
@@ -139,7 +147,7 @@ def histogram_svg(scores, title: str) -> str:
             f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{x1 - x0:.2f}" height="{y0 - y1:.2f}" '
             f'fill="{PALETTE["histogram"]}" stroke="white" stroke-width="0.5"/>'
         )
-    x_ticks = np.linspace(edges[0], edges[-1], 5)
+    x_ticks = np.linspace(edges[0] / 4, edges[-1] / 4, 5) * 4
     y_ticks = np.linspace(0.0, top, 5)
     canvas.axes("score", "density", x_ticks, y_ticks)
     return canvas.render()

@@ -38,6 +38,13 @@ class TestFit:
         with pytest.raises(ValueError, match="zero variance"):
             fit_binormal(from_arrays([1.0, 2.0], [5.0, 5.0]))
 
+    @pytest.mark.parametrize("controls", [[0.1] * 3, [123.456] * 30, [1e307] * 30],
+                             ids=["0.1x3", "123.456x30", "1e307x30"])
+    def test_constant_population_is_zero_variance(self, controls):
+        # the rounded moments of these give a tiny sigma or overflow; the check is exact
+        with pytest.raises(ValueError, match="zero variance"):
+            fit_binormal(from_arrays(controls, [1.0, 2.0, 3.0, 4.0, 5.0]))
+
     def test_shift_scale_equivariance(self):
         rng = np.random.default_rng(8)
         x = rng.normal(2, 3, 40)

@@ -214,4 +214,16 @@ def test_from_arrays_tags():
     ds = from_arrays([1, 2], [3, 4], "demo")
     assert ds.non_diseased.population_tag is PopulationTag.NON_DISEASED
     assert ds.diseased.population_tag is PopulationTag.DISEASED
-    assert ds.non_diseased.source_name == "demo"
+    assert ds.source_name == "demo"
+
+
+@pytest.mark.parametrize("name, expected", [("CA 125", "CA 125"), (None, "controls")])
+def test_loaders_put_the_name_on_the_dataset(tmp_path, name, expected):
+    nd, d, labeled = tmp_path / "controls.txt", tmp_path / "cases.txt", tmp_path / "controls.csv"
+    nd.write_text("1.0\n2.0\n")
+    d.write_text("3.0\n4.0\n")
+    labeled.write_text("score,label\n1.0,0\n2.0,0\n3.0,1\n4.0,1\n")
+    for ds in (load_two_files(nd, d, source_name=name), load_dataset(labeled, source_name=name)):
+        assert ds.source_name == expected
+        assert not hasattr(ds.non_diseased, "source_name")
+        assert not hasattr(ds.diseased, "source_name")

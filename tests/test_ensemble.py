@@ -51,8 +51,9 @@ class TestConfigValidation:
             MgConfig(seed=2**128)
 
     def test_run_mg_needs_replicate_sizes(self):
+        # hand-built models carry no n_train, so they need both sizes set
         for sizes in ({}, {"replicate_n_x": 10}, {"replicate_n_y": 10}):
-            with pytest.raises(ValueError, match="mg_pipeline"):
+            with pytest.raises(ValueError, match="replicate sizes must be >= 2"):
                 run_mg(F_STD, G_SHIFT3, MgConfig(m=2, grid=GRID, **sizes))
 
 
@@ -323,14 +324,14 @@ class TestPipeline:
     def test_replicate_sizes_default_to_observed(self):
         rng = np.random.default_rng(0)
         ds = from_arrays(rng.normal(0, 1, 37), rng.normal(2, 1, 53))
-        _, _, res = mg_pipeline(
-            ds,
-            EmConfig(k_max=2, n_restarts=2, seed=1),
-            MgConfig(m=50, seed=1, grid=make_uniform_grid(64)),
-        )
-        # replicate studies have 37/53 draws; the AUC spread reflects that
-        assert res.m == 50
-        assert res.mean_curve.grid.count == 64
+        settings = dict(m=50, seed=1, grid=make_uniform_grid(64))
+        f, g, res = mg_pipeline(ds, EmConfig(k_max=2, n_restarts=2, seed=1), MgConfig(**settings))
+        # replicate studies have 37/53 draws, whether the sizes are set or left to the models
+        for config in (MgConfig(**settings, replicate_n_x=37, replicate_n_y=53),
+                       MgConfig(**settings)):
+            other = run_mg(f, g, config)
+            np.testing.assert_array_equal(other.replicate_matrix, res.replicate_matrix)
+            np.testing.assert_array_equal(other.auc_samples, res.auc_samples)
 
     def test_returns_fitted_models(self):
         rng = np.random.default_rng(1)

@@ -234,8 +234,11 @@ class TestCliProcess:
         # the child imports the same mixroc as this process, installed or not
         package_root = str(Path(mixroc.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        # the child turns the warnings into errors as pyproject.toml's filterwarnings does
+        warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                    "-W", "error::FutureWarning"]
         return subprocess.run(
-            [sys.executable, *args],
+            [sys.executable, *warnings, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
@@ -385,6 +388,33 @@ class TestMainInProcess:
         assert code == EXIT_OK
         entry = json.loads((out / "report.json").read_text())["estimators"]["empirical"]
         assert entry["auc_trapezoidal"] == pytest.approx(0.7505, abs=1e-4)
+
+    @pytest.mark.parametrize("controls, code", [
+        ("-1e308\n1e308\n", EXIT_OK),
+        ("0\n5e-324\n1e-323\n", EXIT_INPUT),
+    ], ids=["span-beyond-float", "density-beyond-float"])
+    def test_histogram_of_extreme_controls(self, tmp_path, capsys, controls, code):
+        controls_file, cases = tmp_path / "controls.txt", tmp_path / "cases.txt"
+        controls_file.write_text(controls)
+        cases.write_text("3\n4\n5\n6\n")
+        out = tmp_path / "out"
+        assert main(["--non-diseased", str(controls_file), "--diseased", str(cases),
+                     "--estimators", "empirical", "--plots", "--out", str(out)]) == code
+        if code == EXIT_OK:
+            svgs = [p.read_text() for p in out.glob("*.svg")]
+            assert len(svgs) == 3 and not any("nan" in svg or "inf" in svg for svg in svgs)
+        else:
+            assert capsys.readouterr().err.startswith("error: Non-diseased scores: the density")
+            assert not out.exists()
+
+    def test_constant_huge_controls_have_zero_variance(self, tmp_path, capsys):
+        controls, cases = tmp_path / "controls.txt", tmp_path / "cases.txt"
+        controls.write_text("1e307\n" * 30)
+        cases.write_text("1\n2\n3\n4\n5\n")
+        code = main(["--non-diseased", str(controls), "--diseased", str(cases),
+                     "--estimators", "binormal", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert "zero variance" in capsys.readouterr().err
 
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "blocker"

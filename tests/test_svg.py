@@ -24,14 +24,22 @@ def _floats_from(x, count):
     [1.0, 1.0 + 100 * 2.0**-52],
     [0.0, 3.5e-193],
     [-1e150, 1e150],
+    [-1e308, 1e308],
+    [-np.finfo(float).max, np.finfo(float).max],
 ], ids=["3-ulps-at-1", "3-ulps-at-1e10", "zero-range", "zero-range-at-1e17", "30-ulps",
-        "100-ulps", "tiny-range", "huge-range"])
+        "100-ulps", "tiny-range", "huge-range", "range-beyond-float", "range-of-all-floats"])
 def test_histogram_renders_every_valid_sample(scores):
     sample = ScoreSample(scores, PopulationTag.NON_DISEASED)
     svg = histogram_svg(sample.scores, "Scores")
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "nan" not in svg and "inf" not in svg
     assert svg.count("<rect") >= 2  # the background and at least one bar
+
+
+def test_histogram_refuses_a_density_beyond_the_float_range():
+    # bins one subnormal wide hold a density of about 1e323
+    with pytest.raises(ValueError, match="Scores: the density of the span 0 to 9.88e-324"):
+        histogram_svg(np.array([0.0, 5e-324, 1e-323]), "Scores")
 
 
 @pytest.mark.parametrize("seed", range(5))
