@@ -20,6 +20,10 @@ from .datasets import PopulationTag, ScoreSample, _check_fit_range
 
 WEIGHT_SUM_TOL = 1e-12
 EM_TOL = 1e-8  # EM stops when |ll change| <= EM_TOL * (1 + |ll|)
+# values per batch of EM restarts, where a restart holds n * k of them: keeps the working
+# memory of fit_em near one restart's whatever n_restarts is (5 restarts at K=5 batch
+# together up to n = 2621; at larger n * k a batch holds fewer, down to one)
+_BLOCK_VALUES = 2**16
 
 
 class EmCollapseError(RuntimeError):
@@ -103,7 +107,8 @@ class EmConfig:
     more than its M-steps, or stops early and fails if it starves a component (see
     :func:`fit_em`). Variances are floored at 1e-6 * (sample range)^2. Restart r at K
     components draws its centers from its own stream (population, K, r), so adding a K or a
-    restart changes no other. `seed` lies in [0, 2**128).
+    restart changes no other. The restarts of one K run together, each stopping on its own,
+    with results identical to running them one by one. `seed` lies in [0, 2**128).
     """
 
     k_min: int = 1
@@ -162,53 +167,80 @@ def _initial_params(x, k, floor, rng):
 
 
 def _log_sum_exp(a):
-    """log(sum(exp(a), axis=1)) shifted by each row's max; a row of -inf gives -inf."""
-    top = np.maximum(a.max(axis=1), np.finfo(float).min)
+    """log(sum(exp(a), axis=-1)) shifted by each row's max; a row of -inf gives -inf."""
+    top = np.maximum(a.max(axis=-1), np.finfo(float).min)
     with np.errstate(divide="ignore"):  # log(0) of a row of -inf
-        return top + np.log(np.exp(a - top[:, None]).sum(axis=1))
+        return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
 
 
 def _log_components(x, weights, means, variances):
-    # (n, k) matrix of log(pi_k * phi(x | mu_k, var_k))
+    # (..., n, k) array of log(pi_k * phi(x | mu_k, var_k)) for (..., k) parameters
+    weights, means, variances = (p[..., None, :] for p in (weights, means, variances))
     with np.errstate(over="ignore"):  # a huge |x - mu| squares to inf, whose density is 0
-        z2 = (x[:, None] - means[None, :]) ** 2 / variances[None, :]
-    return np.log(weights)[None, :] - 0.5 * (np.log(2.0 * np.pi * variances)[None, :] + z2)
+        z2 = (x[:, None] - means) ** 2 / variances
+    return np.log(weights) - 0.5 * (np.log(2.0 * np.pi * variances) + z2)
 
 
-def _em_single(x, k, config, floor, rng):
-    """One EM run; returns (weights, means, variances, ll, ll_trace).
+def _em_restarts(x, k, config, floor, rngs):
+    """EM from one initial state per generator, all stepped together on (R, n, k) arrays;
+    returns one (weights, means, variances, ll, ll_trace) per generator, in order.
 
-    At most `config.max_iter` M-steps, each between two E-steps, so ll is of the returned
-    parameters and the trace holds the log-likelihood at each E-step, one more than the
-    M-steps; EM keeps it non-decreasing. An E-step that leaves a component less than one
-    observation of responsibility mass has starved the run, a step toward a degenerate fit
-    (the likelihood is unbounded): the run stops there and returns that E-step's parameters
-    with ll = -inf. `rng` is read only for the initial centers.
+    Each restart runs at most `config.max_iter` M-steps, each between two E-steps, so ll is
+    of the returned parameters and the trace holds the log-likelihood at each E-step, one more
+    than the M-steps; EM keeps it non-decreasing. An E-step that leaves a component less than
+    one observation of responsibility mass has starved the restart, a step toward a degenerate
+    fit (the likelihood is unbounded): it stops there and returns that E-step's parameters
+    with ll = -inf. A restart leaves the batch when it converges, starves or reaches
+    `max_iter`, and the reductions below round as the one-restart forms do, so every result
+    is bit-identical to running the restarts one by one. Each generator is read only for its
+    restart's initial centers.
     """
     n = x.size
-    weights, means, variances = _initial_params(x, k, floor, rng)
-    ll_prev = -np.inf
-    converged = False
-    trace = []
+    weights, means, variances = (
+        np.array(p) for p in zip(*(_initial_params(x, k, floor, rng) for rng in rngs)))
+    runs = [None] * len(rngs)
+    traces = [[] for _ in rngs]
+    live = np.arange(len(rngs))  # batch row -> restart
+    ll_prev = np.full(len(rngs), -np.inf)
+    converged = np.zeros(len(rngs), dtype=bool)
+
+    def retire(stop, ll):
+        for j in np.flatnonzero(stop):
+            r = live[j]
+            runs[r] = weights[j], means[j], variances[j], float(ll[j]), traces[r]
+
     for it in range(config.max_iter + 1):
         log_comp = _log_components(x, weights, means, variances)
         log_norm = _log_sum_exp(log_comp)
-        ll = float(np.sum(log_norm))
-        trace.append(ll)
-        if converged or it == config.max_iter:
-            break
-        resp = np.exp(log_comp - log_norm[:, None])
-        nk = resp.sum(axis=0)
-        if np.any(nk < 1.0):  # responsibility mass below 1/n_train of the data
-            return weights, means, variances, -np.inf, trace
-        means = resp.T @ x / nk
+        ll = log_norm.sum(axis=-1)
+        for r, value in zip(live.tolist(), ll.tolist()):
+            traces[r].append(value)
+        stop = converged | (it == config.max_iter)
+        if stop.any():
+            retire(stop, ll)
+            keep = ~stop
+            live, weights, means, variances, ll, ll_prev, log_comp, log_norm = (
+                a[keep] for a in (live, weights, means, variances, ll, ll_prev, log_comp, log_norm))
+            if not live.size:
+                break
+        resp = np.exp(log_comp - log_norm[..., None])
+        nk = resp.sum(axis=1)
+        starved = (nk < 1.0).any(axis=1)  # responsibility mass below 1/n_train of the data
+        if starved.any():
+            retire(starved, np.full(live.size, -np.inf))
+            keep = ~starved
+            live, ll, ll_prev, resp, nk = (a[keep] for a in (live, ll, ll_prev, resp, nk))
+            if not live.size:
+                break
+        # these reduction forms round as resp.T @ x, resp.sum(axis=0) and the 2-D einsum do
+        means = resp.transpose(0, 2, 1) @ x / nk
         variances = np.maximum(
-            np.einsum("nk,nk->k", resp, (x[:, None] - means[None, :]) ** 2) / nk, floor)
+            np.einsum("rnk,rnk->rk", resp, (x[:, None] - means[:, None, :]) ** 2) / nk, floor)
         weights = nk / n
-        weights = weights / weights.sum()
+        weights = weights / weights.sum(axis=1, keepdims=True)
         converged = abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll))
         ll_prev = ll
-    return weights, means, variances, ll, trace
+    return runs
 
 
 def fit_em(
@@ -221,7 +253,10 @@ def fit_em(
 
     Restart r draws its initial centers from the stream (population, k, r)
     of `config.seed`. A restart that starves a component (responsibility
-    mass below one observation) ends with log-likelihood -inf.
+    mass below one observation) ends with log-likelihood -inf. The restarts
+    run together as one array, in batches of at most :data:`_BLOCK_VALUES`
+    values, each stopping on its own; the results are identical to running
+    them one by one.
 
     Returns the :class:`GmmModel` with the highest final log-likelihood,
     -inf if every restart starved; with `return_trace` also every restart's
@@ -235,8 +270,10 @@ def fit_em(
     _check_fit_range(sample)
     floor = _effective_floor(x)
     population = int(sample.population_tag is PopulationTag.DISEASED)
-    runs = [_em_single(x, k, config, floor, _stream(config.seed, population, k, r))
-            for r in range(config.n_restarts)]
+    rngs = [_stream(config.seed, population, k, r) for r in range(config.n_restarts)]
+    batch = max(1, _BLOCK_VALUES // (x.size * k))
+    runs = [run for start in range(0, len(rngs), batch)
+            for run in _em_restarts(x, k, config, floor, rngs[start:start + batch])]
     valid = [run for run in runs if not np.isnan(run[3])]
     if not valid:
         raise EmCollapseError(f"all {config.n_restarts} EM restarts collapsed for k={k}")

@@ -41,6 +41,50 @@ CA125_CONTROLS = GmmModel(
     [10.123143936706988, 160.34901898868912, 40.322499999967775, 0.030102249999999997])
 
 
+def scalar_em(x, k, config, floor, rng):
+    """One EM restart as a plain loop on (n, k) arrays: the reference for the batched kernel.
+
+    Returns (weights, means, variances, ll, ll_trace). At most max_iter M-steps, each between
+    two E-steps; a starving E-step ends the restart with that E-step's parameters and -inf.
+    """
+    n = x.size
+    weights, means, variances = gmm._initial_params(x, k, floor, rng)
+    ll_prev = -np.inf
+    converged = False
+    trace = []
+    for it in range(config.max_iter + 1):
+        log_comp = gmm._log_components(x, weights, means, variances)
+        log_norm = gmm._log_sum_exp(log_comp)
+        ll = float(np.sum(log_norm))
+        trace.append(ll)
+        if converged or it == config.max_iter:
+            break
+        resp = np.exp(log_comp - log_norm[:, None])
+        nk = resp.sum(axis=0)
+        if np.any(nk < 1.0):
+            return weights, means, variances, -np.inf, trace
+        means = resp.T @ x / nk
+        variances = np.maximum(
+            np.einsum("nk,nk->k", resp, (x[:, None] - means[None, :]) ** 2) / nk, floor)
+        weights = nk / n
+        weights = weights / weights.sum()
+        converged = abs(ll - ll_prev) <= gmm.EM_TOL * (1.0 + abs(ll))
+        ll_prev = ll
+    return weights, means, variances, ll, trace
+
+
+def scalar_fit(sample, k, config):
+    """fit_em's best-of-restarts rule over :func:`scalar_em` runs on the same streams."""
+    x = np.asarray(sample.scores, dtype=float)
+    floor = gmm._effective_floor(x)
+    population = int(sample.population_tag is PopulationTag.DISEASED)
+    runs = [scalar_em(x, k, config, floor, gmm._stream(config.seed, population, k, r))
+            for r in range(config.n_restarts)]
+    w, mu, var, ll, _ = max(runs, key=lambda run: run[3])
+    order = np.argsort(mu)
+    return GmmModel(w[order], mu[order], var[order], ll, x.size), [run[4] for run in runs]
+
+
 def random_mixture(rng, k_max=4):
     """A random well-formed mixture for property checks."""
     k = int(rng.integers(1, k_max + 1))
@@ -146,6 +190,49 @@ class TestFitEm:
             ref = [max(np.mean((x[owner == j] - c) ** 2) if np.any(owner == j) else 0.0, floor)
                    for j, c in enumerate(centers)]
             np.testing.assert_allclose(variances, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("data, k, config", [
+        # restarts converge after 11 to 26 M-steps
+        (np.concatenate([np.random.default_rng(3).normal(0, 1, 120),
+                         np.random.default_rng(4).normal(4, 0.5, 80)]), 2, EmConfig(seed=1)),
+        # restarts 0 and 1 starve mid-batch, restart 2 runs on to max_iter
+        (np.random.default_rng(0).normal(0, 1, 30), 3, EmConfig(seed=0, n_restarts=3)),
+        (np.random.default_rng(34).normal(0, 1, 30), 3, EmConfig(seed=0, n_restarts=3)),
+        (np.random.default_rng(3).normal(0, 1, 200), 3, EmConfig(max_iter=1, seed=1)),
+        (np.random.default_rng(3).normal(0, 1, 200), 3, EmConfig(max_iter=2, seed=1)),
+        (np.random.default_rng(10).normal(3, 2, 200), 1, EmConfig()),
+        (np.array([0.0, 1.0]), 2, EmConfig()),
+        (np.random.default_rng(12).integers(0, 4, 40).astype(float) ** 3, 3, EmConfig(seed=0)),
+    ], ids=["staggered", "two-starve", "all-starve", "max-iter-1", "max-iter-2", "k1", "n2",
+            "ties"])
+    def test_batched_restarts_match_scalar_loop(self, data, k, config):
+        sample = sample_of(data)
+        model, traces = fit_em(sample, k, config, return_trace=True)
+        ref, ref_traces = scalar_fit(sample, k, config)
+        for field in ("weights", "means", "variances", "log_likelihood"):
+            assert np.array_equal(getattr(model, field), getattr(ref, field))
+        assert len(traces) == len(ref_traces) == config.n_restarts
+        for trace, ref_trace in zip(traces, ref_traces):
+            assert np.array_equal(trace, ref_trace)
+
+    def test_batching_leaves_restarts_independent(self, monkeypatch):
+        # K=3 restarts of unequal length: 0 and 1 starve, 2 runs to max_iter
+        data = np.random.default_rng(0).normal(0, 1, 30)
+        model, traces = fit_em(sample_of(data), 3, EmConfig(seed=0, n_restarts=5),
+                               return_trace=True)
+        assert len({len(trace) for trace in traces}) == 5
+        for r in range(5):
+            _, head = fit_em(sample_of(data), 3, EmConfig(seed=0, n_restarts=r + 1),
+                             return_trace=True)
+            assert all(np.array_equal(a, b) for a, b in zip(head, traces[: r + 1], strict=True))
+        for rows in (1, 2, 5):
+            # restarts per batch = _BLOCK_VALUES // (n * k)
+            monkeypatch.setattr(gmm, "_BLOCK_VALUES", rows * data.size * 3)
+            again, again_traces = fit_em(sample_of(data), 3, EmConfig(seed=0, n_restarts=5),
+                                         return_trace=True)
+            for field in ("weights", "means", "variances", "log_likelihood"):
+                assert np.array_equal(getattr(again, field), getattr(model, field))
+            assert all(np.array_equal(a, b) for a, b in zip(again_traces, traces, strict=True))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -487,10 +574,11 @@ class TestModelValidation:
 def test_collapse_error_when_every_restart_diverges(monkeypatch):
     import mixroc.gmm as gmm_mod
 
-    def broken(x, k, config, floor, rng):
-        return np.full(k, 1.0 / k), np.zeros(k), np.ones(k), float("nan"), [float("nan")]
+    def broken(x, k, config, floor, rngs):
+        return [(np.full(k, 1.0 / k), np.zeros(k), np.ones(k), float("nan"), [float("nan")])
+                for _ in rngs]
 
-    monkeypatch.setattr(gmm_mod, "_em_single", broken)
+    monkeypatch.setattr(gmm_mod, "_em_restarts", broken)
     with pytest.raises(gmm_mod.EmCollapseError, match="collapsed"):
         fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
 
