@@ -108,7 +108,9 @@ class EmConfig:
     :func:`fit_em`). Variances are floored at 1e-6 * (sample range)^2. Restart r at K
     components draws its centers from its own stream (population, K, r), so adding a K or a
     restart changes no other. The restarts of one K run together, each stopping on its own,
-    with results identical to running them one by one. `seed` lies in [0, 2**128).
+    with results identical to running them one by one. EM keeps one log-likelihood per
+    restart and E-step run; nothing is sized from `max_iter`, which is unbounded. `seed` lies
+    in [0, 2**128).
     """
 
     k_min: int = 1
@@ -183,53 +185,45 @@ def _log_components(x, weights, means, variances):
 
 def _em_restarts(x, k, config, floor, rngs):
     """EM from one initial state per generator, all stepped together on (R, n, k) arrays;
-    returns one (weights, means, variances, ll, ll_trace) per generator, in order.
+    returns (R, k) weights, means and variances, (R,) ll and one trace per generator, in order.
 
     Each restart runs at most `config.max_iter` M-steps, each between two E-steps, so ll is
     of the returned parameters and the trace holds the log-likelihood at each E-step, one more
-    than the M-steps; EM keeps it non-decreasing. An E-step that leaves a component less than
-    one observation of responsibility mass has starved the restart, a step toward a degenerate
-    fit (the likelihood is unbounded): it stops there and returns that E-step's parameters
-    with ll = -inf. A restart leaves the batch when it converges, starves or reaches
-    `max_iter`, and the reductions below round as the one-restart forms do, so every result
+    than the M-steps; EM keeps it non-decreasing. The only convergence state is the history of
+    E-step log-likelihoods, grown by one (R,) row per E-step: a restart stops at the E-step
+    after two whose ll differ by at most EM_TOL * (1 + |ll|), or at `max_iter`. Otherwise an
+    E-step that leaves a component less than one observation of responsibility mass has
+    starved the restart, a step toward a degenerate fit (the likelihood is unbounded): it
+    stops there with that E-step's parameters and ll = -inf. Rows leave the batch at one point
+    per iteration, and the reductions below round as the one-restart forms do, so every result
     is bit-identical to running the restarts one by one. Each generator is read only for its
     restart's initial centers.
     """
-    n = x.size
+    n, restarts = x.size, len(rngs)
     weights, means, variances = (
         np.array(p) for p in zip(*(_initial_params(x, k, floor, rng) for rng in rngs)))
-    runs = [None] * len(rngs)
-    traces = [[] for _ in rngs]
-    live = np.arange(len(rngs))  # batch row -> restart
-    ll_prev = np.full(len(rngs), -np.inf)
-    converged = np.zeros(len(rngs), dtype=bool)
-
-    def retire(stop, ll):
-        for j in np.flatnonzero(stop):
-            r = live[j]
-            runs[r] = weights[j], means[j], variances[j], float(ll[j]), traces[r]
-
+    params, ll_out = np.empty((3, restarts, k)), np.empty(restarts)
+    steps = np.empty(restarts, dtype=int)  # E-steps each restart ran
+    history = []  # grows by one row per E-step, NaN where a restart has left
+    live = np.arange(restarts)  # batch row -> restart
     for it in range(config.max_iter + 1):
         log_comp = _log_components(x, weights, means, variances)
         log_norm = _log_sum_exp(log_comp)
-        ll = log_norm.sum(axis=-1)
-        for r, value in zip(live.tolist(), ll.tolist()):
-            traces[r].append(value)
-        stop = converged | (it == config.max_iter)
-        if stop.any():
-            retire(stop, ll)
-            keep = ~stop
-            live, weights, means, variances, ll, ll_prev, log_comp, log_norm = (
-                a[keep] for a in (live, weights, means, variances, ll, ll_prev, log_comp, log_norm))
-            if not live.size:
-                break
+        history.append(np.full(restarts, np.nan))
+        history[-1][live] = ll = log_norm.sum(axis=-1)
         resp = np.exp(log_comp - log_norm[..., None])
         nk = resp.sum(axis=1)
-        starved = (nk < 1.0).any(axis=1)  # responsibility mass below 1/n_train of the data
-        if starved.any():
-            retire(starved, np.full(live.size, -np.inf))
-            keep = ~starved
-            live, ll, ll_prev, resp, nk = (a[keep] for a in (live, ll, ll_prev, resp, nk))
+        stop = np.full(live.size, it == config.max_iter)
+        if it >= 2:
+            last, before = history[-2][live], history[-3][live]
+            stop |= abs(last - before) <= EM_TOL * (1.0 + abs(last))
+        starved = ~stop & (nk < 1.0).any(axis=1)  # mass below 1/n_train of the data
+        done = stop | starved
+        if done.any():
+            params[:, live[done]] = weights[done], means[done], variances[done]
+            ll_out[live[done]] = np.where(starved[done], -np.inf, ll[done])
+            steps[live[done]] = it + 1
+            live, resp, nk = live[~done], resp[~done], nk[~done]
             if not live.size:
                 break
         # these reduction forms round as resp.T @ x, resp.sum(axis=0) and the 2-D einsum do
@@ -238,9 +232,8 @@ def _em_restarts(x, k, config, floor, rngs):
             np.einsum("rnk,rnk->rk", resp, (x[:, None] - means[:, None, :]) ** 2) / nk, floor)
         weights = nk / n
         weights = weights / weights.sum(axis=1, keepdims=True)
-        converged = abs(ll - ll_prev) <= EM_TOL * (1.0 + abs(ll))
-        ll_prev = ll
-    return runs
+    history = np.array(history)
+    return *params, ll_out, [history[:s, r].tolist() for r, s in enumerate(steps)]
 
 
 def fit_em(
@@ -258,9 +251,11 @@ def fit_em(
     values, each stopping on its own; the results are identical to running
     them one by one.
 
-    Returns the :class:`GmmModel` with the highest final log-likelihood,
-    -inf if every restart starved; with `return_trace` also every restart's
-    log-likelihood trace, monotone from its first E-step.
+    Returns the :class:`GmmModel` of the first restart with the highest
+    final log-likelihood, -inf if every restart starved; a NaN restart never
+    wins, and :class:`EmCollapseError` says that every restart ended NaN.
+    With `return_trace` also every restart's log-likelihood trace, one entry
+    per E-step, monotone from its first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -272,15 +267,17 @@ def fit_em(
     population = int(sample.population_tag is PopulationTag.DISEASED)
     rngs = [_stream(config.seed, population, k, r) for r in range(config.n_restarts)]
     batch = max(1, _BLOCK_VALUES // (x.size * k))
-    runs = [run for start in range(0, len(rngs), batch)
-            for run in _em_restarts(x, k, config, floor, rngs[start:start + batch])]
-    valid = [run for run in runs if not np.isnan(run[3])]
-    if not valid:
+    *arrays, traces = zip(*(_em_restarts(x, k, config, floor, rngs[start:start + batch])
+                            for start in range(0, len(rngs), batch)))
+    weights, means, variances, ll = (np.concatenate(a) for a in arrays)
+    valid = np.flatnonzero(~np.isnan(ll))
+    if not valid.size:
         raise EmCollapseError(f"all {config.n_restarts} EM restarts collapsed for k={k}")
-    w, mu, var, ll, _ = max(valid, key=lambda run: run[3])
-    order = np.argsort(mu)  # canonical component order
-    model = GmmModel(w[order], mu[order], var[order], log_likelihood=ll, n_train=int(x.size))
-    return (model, [run[4] for run in runs]) if return_trace else model
+    best = valid[np.argmax(ll[valid])]  # the first of the highest
+    order = np.argsort(means[best])  # canonical component order
+    model = GmmModel(weights[best, order], means[best, order], variances[best, order],
+                     log_likelihood=float(ll[best]), n_train=int(x.size))
+    return (model, [trace for part in traces for trace in part]) if return_trace else model
 
 
 def bic(model: GmmModel) -> float:

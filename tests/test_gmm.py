@@ -1,6 +1,7 @@
 """Gaussian mixture fitting, evaluation, inversion and sampling."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,20 @@ def scalar_fit(sample, k, config):
             for r in range(config.n_restarts)]
     w, mu, var, ll, _ = max(runs, key=lambda run: run[3])
     order = np.argsort(mu)
-    return GmmModel(w[order], mu[order], var[order], ll, x.size), [run[4] for run in runs]
+    return GmmModel(w[order], mu[order], var[order], ll, x.size), runs
+
+
+def assert_matches_scalar(data, k, config):
+    """Assert fit_em's model and traces equal :func:`scalar_fit`'s; return the scalar runs."""
+    sample = sample_of(data)
+    model, traces = fit_em(sample, k, config, return_trace=True)
+    ref, runs = scalar_fit(sample, k, config)
+    for field in ("weights", "means", "variances", "log_likelihood"):
+        assert np.array_equal(getattr(model, field), getattr(ref, field))
+    assert len(traces) == len(runs) == config.n_restarts
+    for trace, run in zip(traces, runs):
+        assert np.array_equal(trace, run[4])
+    return runs
 
 
 def random_mixture(rng, k_max=4):
@@ -206,14 +220,32 @@ class TestFitEm:
     ], ids=["staggered", "two-starve", "all-starve", "max-iter-1", "max-iter-2", "k1", "n2",
             "ties"])
     def test_batched_restarts_match_scalar_loop(self, data, k, config):
-        sample = sample_of(data)
-        model, traces = fit_em(sample, k, config, return_trace=True)
-        ref, ref_traces = scalar_fit(sample, k, config)
-        for field in ("weights", "means", "variances", "log_likelihood"):
-            assert np.array_equal(getattr(model, field), getattr(ref, field))
-        assert len(traces) == len(ref_traces) == config.n_restarts
-        for trace, ref_trace in zip(traces, ref_traces):
-            assert np.array_equal(trace, ref_trace)
+        assert_matches_scalar(data, k, config)
+
+    def test_batched_restarts_match_scalar_loop_on_random_cases(self):
+        # 40 small cases; in some, one restart converges at the E-step where another starves,
+        # and the kernel retires both in the same exit
+        rng = np.random.default_rng(12)
+        coincident = 0
+        for case in range(40):
+            n, k, max_iter = (int(rng.integers(lo, hi)) for lo, hi in ((5, 61), (1, 5), (1, 41)))
+            data = (rng.normal(0.0, 1.0, n), rng.integers(0, 5, n).astype(float),
+                    rng.lognormal(0.0, 1.5, n))[case % 3]
+            config = EmConfig(max_iter=max_iter, n_restarts=5, seed=case)
+            runs = assert_matches_scalar(data, k, config)
+            ends = {(len(run[4]), run[3] == -np.inf) for run in runs}
+            coincident += any((steps, not starved) in ends for steps, starved in ends)
+        assert coincident >= 1
+
+    def test_a_restart_stopping_as_it_starves_stops(self):
+        # at the defaults every restart starves, restart 0 last, at its 38th E-step; with
+        # max_iter=37 that E-step is also its last, and a restart that stops does not starve
+        data = np.random.default_rng(34).normal(0, 1, 30)
+        config = EmConfig(seed=0, n_restarts=3, max_iter=37)
+        model, traces = fit_em(sample_of(data), 3, config, return_trace=True)
+        assert [len(trace) for trace in traces] == [38, 5, 35]
+        assert np.isfinite(model.log_likelihood)
+        assert_matches_scalar(data, 3, config)
 
     def test_batching_leaves_restarts_independent(self, monkeypatch):
         # K=3 restarts of unequal length: 0 and 1 starve, 2 runs to max_iter
@@ -575,12 +607,40 @@ def test_collapse_error_when_every_restart_diverges(monkeypatch):
     import mixroc.gmm as gmm_mod
 
     def broken(x, k, config, floor, rngs):
-        return [(np.full(k, 1.0 / k), np.zeros(k), np.ones(k), float("nan"), [float("nan")])
-                for _ in rngs]
+        r = len(rngs)
+        return (np.full((r, k), 1.0 / k), np.zeros((r, k)), np.ones((r, k)), np.full(r, np.nan),
+                [[float("nan")] for _ in rngs])
 
     monkeypatch.setattr(gmm_mod, "_em_restarts", broken)
     with pytest.raises(gmm_mod.EmCollapseError, match="collapsed"):
         fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
+
+
+def test_nan_restarts_never_win_over_starved_ones(monkeypatch):
+    # restart 0 ends NaN, 1 and 2 starve: the first starved restart is the fit, not the NaN
+    def mixed(x, k, config, floor, rngs):
+        r = len(rngs)
+        means = np.arange(r * k, dtype=float).reshape(r, k)
+        means[0] = np.nan
+        return (np.full((r, k), 1.0 / k), means, np.ones((r, k)),
+                np.r_[np.nan, np.full(r - 1, -np.inf)], [[0.0] for _ in rngs])
+
+    monkeypatch.setattr(gmm, "_em_restarts", mixed)
+    model = fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
+    assert model.log_likelihood == -np.inf
+    np.testing.assert_array_equal(model.means, [2.0, 3.0])
+
+
+def test_em_memory_does_not_grow_with_max_iter():
+    # the log-likelihood history grows with the E-steps run, not with max_iter
+    sample = sample_of(np.random.default_rng(0).normal(0.0, 1.0, 100))
+    tracemalloc.start()
+    try:
+        fit_em(sample, 2, EmConfig(max_iter=10**6, n_restarts=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def test_every_stream_is_distinct(monkeypatch):
