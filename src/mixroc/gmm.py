@@ -19,7 +19,7 @@ from scipy.special import log_ndtr, ndtri
 from .datasets import PopulationTag, ScoreSample, _check_fit_range
 
 WEIGHT_SUM_TOL = 1e-12
-EM_TOL = 1e-8  # EM stops when |ll change| <= EM_TOL * (1 + |ll|)
+EM_TOL = 1e-8  # EM stops when |ll - previous E-step's ll| <= EM_TOL * (1 + |ll|)
 # values per batch of EM restarts, where a restart holds n * k of them: keeps the working
 # memory of fit_em near one restart's whatever n_restarts is (5 restarts at K=5 batch
 # together up to n = 2621; at larger n * k a batch holds fewer, down to one)
@@ -103,8 +103,9 @@ class GmmModel:
 class EmConfig:
     """EM and model-selection settings: K range, iteration cap, restarts, seed.
 
-    EM stops at :data:`EM_TOL` or after `max_iter` M-steps; a restart's trace holds one E-step
-    more than its M-steps, or stops early and fails if it starves a component (see
+    A restart stops at the first E-step whose log-likelihood ll is within :data:`EM_TOL` *
+    (1 + |ll|) of the E-step before it, or after `max_iter` M-steps, so its trace holds one
+    E-step more than its M-steps; one that starves a component first stops and fails (see
     :func:`fit_em`). Variances are floored at 1e-6 * (sample range)^2. Restart r at K
     components draws its centers from its own stream (population, K, r), so adding a K or a
     restart changes no other. The restarts of one K run together, each stopping on its own,
@@ -190,8 +191,8 @@ def _em_restarts(x, k, config, floor, rngs):
     Each restart runs at most `config.max_iter` M-steps, each between two E-steps, so ll is
     of the returned parameters and the trace holds the log-likelihood at each E-step, one more
     than the M-steps; EM keeps it non-decreasing. The only convergence state is the history of
-    E-step log-likelihoods, grown by one (R,) row per E-step: a restart stops at the E-step
-    after two whose ll differ by at most EM_TOL * (1 + |ll|), or at `max_iter`. Otherwise an
+    E-step log-likelihoods, grown by one (R,) row per E-step: a restart stops at the first
+    E-step whose ll is within EM_TOL * (1 + |ll|) of the row before, or at `max_iter`. Else an
     E-step that leaves a component less than one observation of responsibility mass has
     starved the restart, a step toward a degenerate fit (the likelihood is unbounded): it
     stops there with that E-step's parameters and ll = -inf. Rows leave the batch at one point
@@ -214,9 +215,8 @@ def _em_restarts(x, k, config, floor, rngs):
         resp = np.exp(log_comp - log_norm[..., None])
         nk = resp.sum(axis=1)
         stop = np.full(live.size, it == config.max_iter)
-        if it >= 2:
-            last, before = history[-2][live], history[-3][live]
-            stop |= abs(last - before) <= EM_TOL * (1.0 + abs(last))
+        if it >= 1:
+            stop |= abs(ll - history[-2][live]) <= EM_TOL * (1.0 + abs(ll))
         starved = ~stop & (nk < 1.0).any(axis=1)  # mass below 1/n_train of the data
         done = stop | starved
         if done.any():
@@ -231,7 +231,6 @@ def _em_restarts(x, k, config, floor, rngs):
         variances = np.maximum(
             np.einsum("rnk,rnk->rk", resp, (x[:, None] - means[:, None, :]) ** 2) / nk, floor)
         weights = nk / n
-        weights = weights / weights.sum(axis=1, keepdims=True)
     history = np.array(history)
     return *params, ll_out, [history[:s, r].tolist() for r, s in enumerate(steps)]
 
@@ -244,12 +243,12 @@ def fit_em(
 ):
     """Fit a k-component mixture by EM, best of `config.n_restarts` runs.
 
-    Restart r draws its initial centers from the stream (population, k, r)
-    of `config.seed`. A restart that starves a component (responsibility
-    mass below one observation) ends with log-likelihood -inf. The restarts
-    run together as one array, in batches of at most :data:`_BLOCK_VALUES`
-    values, each stopping on its own; the results are identical to running
-    them one by one.
+    Restart r draws its initial centers from the stream (population, k, r) of
+    `config.seed`, sets the weights to N_k / n at each M-step and stops as
+    :class:`EmConfig` says; one that starves a component (responsibility mass
+    below one observation) ends with log-likelihood -inf. The restarts run together
+    as one array, in batches of at most :data:`_BLOCK_VALUES` values, each stopping
+    on its own; the results are identical to running them one by one.
 
     Returns the :class:`GmmModel` of the first restart with the highest
     final log-likelihood, -inf if every restart starved; a NaN restart never

@@ -46,19 +46,18 @@ def scalar_em(x, k, config, floor, rng):
     """One EM restart as a plain loop on (n, k) arrays: the reference for the batched kernel.
 
     Returns (weights, means, variances, ll, ll_trace). At most max_iter M-steps, each between
-    two E-steps; a starving E-step ends the restart with that E-step's parameters and -inf.
+    two E-steps; the restart stops at the first E-step whose ll is within EM_TOL * (1 + |ll|)
+    of the one before, and a starving E-step ends it with that E-step's parameters and -inf.
     """
     n = x.size
     weights, means, variances = gmm._initial_params(x, k, floor, rng)
-    ll_prev = -np.inf
-    converged = False
     trace = []
     for it in range(config.max_iter + 1):
         log_comp = gmm._log_components(x, weights, means, variances)
         log_norm = gmm._log_sum_exp(log_comp)
         ll = float(np.sum(log_norm))
         trace.append(ll)
-        if converged or it == config.max_iter:
+        if it == config.max_iter or (it and abs(ll - trace[-2]) <= gmm.EM_TOL * (1.0 + abs(ll))):
             break
         resp = np.exp(log_comp - log_norm[:, None])
         nk = resp.sum(axis=0)
@@ -68,9 +67,6 @@ def scalar_em(x, k, config, floor, rng):
         variances = np.maximum(
             np.einsum("nk,nk->k", resp, (x[:, None] - means[None, :]) ** 2) / nk, floor)
         weights = nk / n
-        weights = weights / weights.sum()
-        converged = abs(ll - ll_prev) <= gmm.EM_TOL * (1.0 + abs(ll))
-        ll_prev = ll
     return weights, means, variances, ll, trace
 
 
