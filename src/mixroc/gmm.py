@@ -262,11 +262,12 @@ def fit_em(
     if k > x.size:
         raise ValueError(f"k={k} exceeds the sample size {x.size}")
     _check_fit_range(sample)
-    floor = _effective_floor(x)
+    floor = _effective_floor(x)  # of the raw scores: a constant population keeps its floor
+    shift = x[x.size // 2]  # EM runs on centred scores, whose sums cannot overflow
     population = int(sample.population_tag is PopulationTag.DISEASED)
     rngs = [_stream(config.seed, population, k, r) for r in range(config.n_restarts)]
     batch = max(1, _BLOCK_VALUES // (x.size * k))
-    *arrays, traces = zip(*(_em_restarts(x, k, config, floor, rngs[start:start + batch])
+    *arrays, traces = zip(*(_em_restarts(x - shift, k, config, floor, rngs[start:start + batch])
                             for start in range(0, len(rngs), batch)))
     weights, means, variances, ll = (np.concatenate(a) for a in arrays)
     valid = np.flatnonzero(~np.isnan(ll))
@@ -274,7 +275,7 @@ def fit_em(
         raise EmCollapseError(f"all {config.n_restarts} EM restarts collapsed for k={k}")
     best = valid[np.argmax(ll[valid])]  # the first of the highest
     order = np.argsort(means[best])  # canonical component order
-    model = GmmModel(weights[best, order], means[best, order], variances[best, order],
+    model = GmmModel(weights[best, order], means[best, order] + shift, variances[best, order],
                      log_likelihood=float(ll[best]), n_train=int(x.size))
     return (model, [trace for part in traces for trace in part]) if return_trace else model
 

@@ -89,8 +89,8 @@ def compare_table(reports: list[Report]) -> str:
         lines.append(line)
     if any_closed:
         lines.append("* closed-form value (no sample-based Mann-Whitney defined)")
-    # a tie counts only where it marks a row the table shows
-    if any(len(m) > 1 and m & set(ESTIMATORS) for m in marks):
+    # a tie counts only among the rows the table shows
+    if any(len(m & set(ESTIMATORS)) > 1 for m in marks):
         lines.append("note: tie: more than one estimator is equally close to the empirical AUC")
     lines.append("< marks the non-empirical estimator closest to the empirical trapezoidal AUC")
     return "\n".join(lines) + "\n"

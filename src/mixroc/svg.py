@@ -114,9 +114,9 @@ def _bin_edges(scores: np.ndarray, bins: int) -> np.ndarray:
     raises on both, while these edges give as many bins as the range holds.
     """
     lo, hi = float(scores.min()), float(scores.max())
-    if lo == hi:  # numpy's widening, by at least one float each way
-        lo = min(lo - 0.5, np.nextafter(lo, -np.inf))
-        hi = max(hi + 0.5, np.nextafter(hi, np.inf))
+    if lo == hi:  # numpy's widening, by at least one float each way short of +-max
+        lo = min(lo - 0.5, np.nextafter(lo, -np.finfo(float).max))
+        hi = max(hi + 0.5, np.nextafter(hi, np.finfo(float).max))
     edges = np.linspace(lo / 4, hi / 4, bins + 1) * 4  # quarters, as in `_Canvas.px`
     edges[[0, -1]] = lo, hi  # a quarter rounds below 2**-1020
     return np.unique(edges)

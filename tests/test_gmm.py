@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,15 +72,16 @@ def scalar_em(x, k, config, floor, rng):
 
 
 def scalar_fit(sample, k, config):
-    """fit_em's best-of-restarts rule over :func:`scalar_em` runs on the same streams."""
+    """fit_em's best-of-restarts rule over :func:`scalar_em` runs on the same streams, on the
+    scores centred at x[n // 2] with the floor of the raw scores."""
     x = np.asarray(sample.scores, dtype=float)
-    floor = gmm._effective_floor(x)
+    floor, shift = gmm._effective_floor(x), x[x.size // 2]
     population = int(sample.population_tag is PopulationTag.DISEASED)
-    runs = [scalar_em(x, k, config, floor, gmm._stream(config.seed, population, k, r))
+    runs = [scalar_em(x - shift, k, config, floor, gmm._stream(config.seed, population, k, r))
             for r in range(config.n_restarts)]
     w, mu, var, ll, _ = max(runs, key=lambda run: run[3])
     order = np.argsort(mu)
-    return GmmModel(w[order], mu[order], var[order], ll, x.size), runs
+    return GmmModel(w[order], mu[order] + shift, var[order], ll, x.size), runs
 
 
 def assert_matches_scalar(data, k, config):
@@ -315,6 +317,17 @@ class TestSelectK:
         model = select_k(controls, EmConfig(seed=seed))
         spike = (model.n_train * model.weights < 1.5) & (model.variances <= floor)
         assert not spike.any(), (model.weights, model.variances, floor)
+
+    @pytest.mark.parametrize("n", [5, 10, 30, 100])
+    @pytest.mark.parametrize("value", [1e150, 1e170, 1e200, 1e307])
+    def test_constant_population_of_huge_scores_fits(self, value, n):
+        # EM runs on scores centred at x[n // 2], so no M-step sum overflows; the floor is
+        # 1e-12 * |x0| of the raw scores, and the mean is the score exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = select_k(sample_of(np.full(n, value)))
+        assert model.k == 1 and model.means[0] == value
+        assert model.variances[0] == 1e-12 * value
 
     def test_bic_formula(self):
         model = GmmModel([0.4, 0.6], [0.0, 1.0], [1.0, 2.0], log_likelihood=-100.0, n_train=50)
@@ -613,7 +626,8 @@ def test_collapse_error_when_every_restart_diverges(monkeypatch):
 
 
 def test_nan_restarts_never_win_over_starved_ones(monkeypatch):
-    # restart 0 ends NaN, 1 and 2 starve: the first starved restart is the fit, not the NaN
+    # restart 0 ends NaN, 1 and 2 starve: the first starved restart is the fit, not the NaN;
+    # the kernel sees the scores centred at x[n // 2] = 3, and fit_em adds that back
     def mixed(x, k, config, floor, rngs):
         r = len(rngs)
         means = np.arange(r * k, dtype=float).reshape(r, k)
@@ -624,7 +638,7 @@ def test_nan_restarts_never_win_over_starved_ones(monkeypatch):
     monkeypatch.setattr(gmm, "_em_restarts", mixed)
     model = fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
     assert model.log_likelihood == -np.inf
-    np.testing.assert_array_equal(model.means, [2.0, 3.0])
+    np.testing.assert_array_equal(model.means, [5.0, 6.0])
 
 
 def test_em_memory_does_not_grow_with_max_iter():

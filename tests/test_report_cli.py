@@ -187,6 +187,16 @@ class TestCompareTable:
         assert "<" in mg_line and "<" in bin_line
         assert "tie" in table
 
+    def test_tie_with_an_unlisted_estimator_is_no_tie(self):
+        # "foo" is as close to the empirical AUC as mg, but the table lists no "foo" row
+        report = self.make_report("d", 0.80, 0.70, 0.85)
+        report.estimators["foo"] = {"auc_trapezoidal": 0.75, "auc_mann_whitney": 0.75}
+        table = compare_table([report])
+        mg_line = next(l for l in table.splitlines() if l.startswith("mg"))
+        bin_line = next(l for l in table.splitlines() if l.startswith("binormal"))
+        assert "<" in mg_line and "<" not in bin_line and "foo" not in table
+        assert "tie" not in table
+
     def test_exact_text(self):
         # mg is missing from "two"; binormal and mg tie on "one"; binormal is closed-form
         one = self.make_report("one", 0.80, 0.75, 0.85)
@@ -290,6 +300,17 @@ class TestCliProcess:
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr.startswith("error: non_diseased score range ")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    def test_constant_population_of_huge_scores_fits(self, tmp_path):
+        # EM on centred scores: 30 x 1e307 fit K=1 at exactly 1e307, with no warning
+        controls, cases = tmp_path / "controls.txt", tmp_path / "cases.txt"
+        controls.write_text("1e307\n" * 30)
+        cases.write_text("1\n2\n3\n4\n5\n")
+        proc = self.cli("--non-diseased", str(controls), "--diseased", str(cases),
+                        "--estimators", "mg", "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        model = json.loads((tmp_path / "out" / "model_non_diseased.json").read_text())
+        assert model["means"] == [1e307]
 
     def test_pancreatic_demo_runs_from_any_directory(self, tmp_path):
         proc = self.python(str(ROOT / "demos" / "04_pancreatic_study.py"), cwd=tmp_path)
