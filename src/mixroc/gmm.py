@@ -170,22 +170,22 @@ def _initial_params(x, k, floor, rng):
 
 
 def _log_sum_exp(a):
-    """log(sum(exp(a), axis=-1)) shifted by each row's max; a row of -inf gives -inf."""
-    top = np.maximum(a.max(axis=-1), np.finfo(float).min)
-    with np.errstate(divide="ignore"):  # log(0) of a row of -inf
-        return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
+    """log(sum(exp(a), axis=-2)) shifted by each column's max; a column of -inf gives -inf."""
+    top = np.maximum(a.max(axis=-2, keepdims=True), np.finfo(float).min)
+    with np.errstate(divide="ignore"):  # log(0) of a column of -inf
+        return (top + np.log(np.exp(a - top).sum(axis=-2, keepdims=True))).squeeze(-2)
 
 
 def _log_components(x, weights, means, variances):
-    # (..., n, k) array of log(pi_k * phi(x | mu_k, var_k)) for (..., k) parameters
-    weights, means, variances = (p[..., None, :] for p in (weights, means, variances))
+    # (..., k, n) array of log(pi_k * phi(x | mu_k, var_k)) for (..., k) parameters
+    weights, means, variances = (p[..., None] for p in (weights, means, variances))
     with np.errstate(over="ignore"):  # a huge |x - mu| squares to inf, whose density is 0
-        z2 = (x[:, None] - means) ** 2 / variances
+        z2 = (x - means) ** 2 / variances
     return np.log(weights) - 0.5 * (np.log(2.0 * np.pi * variances) + z2)
 
 
 def _em_restarts(x, k, config, floor, rngs):
-    """EM from one initial state per generator, all stepped together on (R, n, k) arrays;
+    """EM from one initial state per generator, all stepped together on (R, k, n) arrays;
     returns (R, k) weights, means and variances, (R,) ll and one trace per generator, in order.
 
     Each restart runs at most `config.max_iter` M-steps, each between two E-steps, so ll is
@@ -212,8 +212,8 @@ def _em_restarts(x, k, config, floor, rngs):
         log_norm = _log_sum_exp(log_comp)
         history.append(np.full(restarts, np.nan))
         history[-1][live] = ll = log_norm.sum(axis=-1)
-        resp = np.exp(log_comp - log_norm[..., None])
-        nk = resp.sum(axis=1)
+        resp = np.exp(log_comp - log_norm[:, None])
+        nk = resp.sum(axis=2)
         stop = np.full(live.size, it == config.max_iter)
         if it >= 1:
             stop |= abs(ll - history[-2][live]) <= EM_TOL * (1.0 + abs(ll))
@@ -226,10 +226,10 @@ def _em_restarts(x, k, config, floor, rngs):
             live, resp, nk = live[~done], resp[~done], nk[~done]
             if not live.size:
                 break
-        # these reduction forms round as resp.T @ x, resp.sum(axis=0) and the 2-D einsum do
-        means = resp.transpose(0, 2, 1) @ x / nk
+        # these reduction forms round as the (k, n) sum(axis=1), resp @ x, einsum("kn,kn->k") do
+        means = resp @ x / nk
         variances = np.maximum(
-            np.einsum("rnk,rnk->rk", resp, (x[:, None] - means[:, None, :]) ** 2) / nk, floor)
+            np.einsum("rkn,rkn->rk", resp, (x - means[..., None]) ** 2) / nk, floor)
         weights = nk / n
     history = np.array(history)
     return *params, ll_out, [history[:s, r].tolist() for r, s in enumerate(steps)]
@@ -332,11 +332,11 @@ def survival(model: GmmModel, c):
 def _log_tail(model: GmmModel, c: NDArray[np.float64], sign) -> NDArray[np.float64]:
     """log P(X <= c) where sign is +1 and log P(X > c) where it is -1.
 
-    `sign` is a scalar or a column with one entry per point of c. Phi(-z) = Q(z),
+    `sign` is a scalar or a row with one entry per point of c. Phi(-z) = Q(z),
     so both tails come from log Phi with full relative accuracy however small they are.
     """
-    z = (c[:, None] - model.means[None, :]) / model.sigmas[None, :]
-    return _log_sum_exp(log_ndtr(sign * z) + np.log(model.weights)[None, :])
+    z = (c - model.means[:, None]) / model.sigmas[:, None]
+    return _log_sum_exp(log_ndtr(sign * z) + np.log(model.weights)[:, None])
 
 
 @_elementwise
@@ -369,7 +369,7 @@ def survival_inverse(model: GmmModel, t):
     def gap(c, sign, target):
         # increasing in c on both sides: -(log survival - log t) below 1/2,
         # log CDF - log(1 - t) above
-        return sign * (_log_tail(model, c, sign[:, None]) - target)
+        return sign * (_log_tail(model, c, sign) - target)
 
     return find_root(gap, (c_k.min(axis=1) - pad, c_k.max(axis=1) + pad), args=(sign, target)).x
 

@@ -44,7 +44,7 @@ CA125_CONTROLS = GmmModel(
 
 
 def scalar_em(x, k, config, floor, rng):
-    """One EM restart as a plain loop on (n, k) arrays: the reference for the batched kernel.
+    """One EM restart as a plain loop on (k, n) arrays: the reference for the batched kernel.
 
     Returns (weights, means, variances, ll, ll_trace). At most max_iter M-steps, each between
     two E-steps; the restart stops at the first E-step whose ll is within EM_TOL * (1 + |ll|)
@@ -60,13 +60,13 @@ def scalar_em(x, k, config, floor, rng):
         trace.append(ll)
         if it == config.max_iter or (it and abs(ll - trace[-2]) <= gmm.EM_TOL * (1.0 + abs(ll))):
             break
-        resp = np.exp(log_comp - log_norm[:, None])
-        nk = resp.sum(axis=0)
+        resp = np.exp(log_comp - log_norm)
+        nk = resp.sum(axis=1)
         if np.any(nk < 1.0):
             return weights, means, variances, -np.inf, trace
-        means = resp.T @ x / nk
+        means = resp @ x / nk
         variances = np.maximum(
-            np.einsum("nk,nk->k", resp, (x[:, None] - means[None, :]) ** 2) / nk, floor)
+            np.einsum("kn,kn->k", resp, (x - means[:, None]) ** 2) / nk, floor)
         weights = nk / n
     return weights, means, variances, ll, trace
 
@@ -460,8 +460,8 @@ class TestLogSumExp:
         else:  # a naive exp underflows to 0 on every row
             a = -746.0 - rng.uniform(0.0, 20.0, (50, 4))
             assert np.all(np.exp(a).sum(axis=1) == 0.0)
-        ref = logsumexp(a, axis=1)
-        assert np.max(np.abs(gmm._log_sum_exp(a) - ref) / np.abs(ref)) <= 1e-13
+        ref = logsumexp(a, axis=1)  # the package sums over axis -2: pass (k, rows)
+        assert np.max(np.abs(gmm._log_sum_exp(a.T) - ref) / np.abs(ref)) <= 1e-13
 
 
 class TestSurvivalInverse:
@@ -537,6 +537,15 @@ class TestSurvivalInverse:
 
     def test_scalar_gives_float(self):
         assert type(survival_inverse(GmmModel([1.0], [0.0], [1.0]), 0.3)) is float
+
+    def test_log_tail_takes_one_sign_per_point(self):
+        # the solve passes sign as a row: each point gets the tail its own sign names
+        rng = np.random.default_rng(67)
+        for model in [CA125_CONTROLS] + [random_mixture(rng) for _ in range(10)]:
+            c = np.r_[-np.inf, rng.uniform(-50.0, 250.0, 37), np.inf]
+            sign = rng.choice([-1.0, 1.0], c.size)
+            both = [gmm._log_tail(model, c, s) for s in (1.0, -1.0)]
+            assert np.array_equal(gmm._log_tail(model, c, sign), np.where(sign > 0, *both))
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, np.nan])
     def test_array_domain(self, bad):

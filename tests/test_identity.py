@@ -33,11 +33,14 @@ def test_diff_lists_files_and_fit_moves():
             "exit_code": exit_code, "stdout": "", "stderr": "",
             "files": dict.fromkeys(fits, digest), "fits": fits}}}
 
-    before = manifest("0", {"a": fit, "b": fit})
-    after = manifest("1", {"a": {**fit, "means": [1.0, 2.5]}, "b": {**fit, "k": 3}})
-    assert identity.diff_manifests(before, after) == ["fits/x: a differs", "fits/x: b differs"]
+    at_zero = {**fit, "means": [0.0, 2.0]}  # judged against sigma 1, not against |mean| 1e-16
+    before = manifest("0", {"a": fit, "b": fit, "c": at_zero})
+    after = manifest("1", {"a": {**fit, "means": [1.0, 2.5]}, "b": {**fit, "k": 3},
+                           "c": {**at_zero, "means": [1e-16, 2.0]}})
+    assert identity.diff_manifests(before, after) == [
+        "fits/x: a differs", "fits/x: b differs", "fits/x: c differs"]
     assert identity.fit_moves(before, after) == [
-        "K changes: 1 of 2 fits (None: an error)",
+        "K changes: 1 of 3 fits (None: an error)",
         "  fits/x: b: K 2 -> 3",
         "largest relative move of means: 0.2 (fits/x: a)",
         "largest relative move of variances: 0 (fits/x: a)",

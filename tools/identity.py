@@ -18,7 +18,9 @@ A fits case's "files" are its fits, each hashed over the model, every trace, the
 the warnings; the manifest also keeps each fit's K and parameters. `manifest` exits 1 when
 a case exits non-zero. `diff` lists the cases and files that differ, and the library groups
 that failed on either side, whose fits it could not compare; for fits it adds the K changes
-and the largest relative moves of means, variances and log-likelihoods. It exits 1 when it
+and the largest relative moves of means, variances and log-likelihoods. A mean's move is
+relative to max(|mu_A|, |mu_B|, sigma_A) of its component, so a mean at 0 is judged against
+its component's spread; the others are relative to max(|A|, |B|). It exits 1 when it
 lists anything, else 0. A tree of the parent commit to compare with comes from
 `git worktree add /tmp/parent HEAD~1`.
 """
@@ -134,16 +136,18 @@ def diff_manifests(a: dict, b: dict) -> list[str]:
     return lines
 
 
-def _relative_move(x, y) -> float:
+def _relative_move(x, y, scale=0.0) -> float:
+    """The largest |x - y| / max(|x|, |y|, scale), 0 where x == y and inf where undefined."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        move = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        move = np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), scale)
     return float(np.max(np.where(x == y, 0.0, np.nan_to_num(move, nan=np.inf))))
 
 
 def fit_moves(a: dict, b: dict) -> list[str]:
     """The K changes of the fits in both manifests, and the largest relative moves of the
-    means, variances and log-likelihoods among the fits whose K held."""
+    means (against max(|mu_A|, |mu_B|, sigma_A)), variances and log-likelihoods among the
+    fits whose K held."""
     def fits(manifest):
         return {f"{case}: {fit}": record for case, body in manifest["cases"].items()
                 for fit, record in body.get("fits", {}).items()}
@@ -154,9 +158,10 @@ def fit_moves(a: dict, b: dict) -> list[str]:
     lines = [f"K changes: {len(changed)} of {len(common)} fits (None: an error)"]
     lines += [f"  {name}: K {fa[name].get('k')} -> {fb[name].get('k')}" for name in changed]
     for field in ("means", "variances", "log_likelihood"):
-        moves = [(_relative_move(fa[name][field], fb[name][field]), name)
+        moves = [(_relative_move(fa[name][field], fb[name][field],
+                                 np.sqrt(fa[name]["variances"]) if field == "means" else 0.0), name)
                  for name in common if name not in changed and "k" in fa[name]]
-        top = max(moves, default=(0.0, "-"))
+        top = max(moves, key=lambda move: move[0], default=(0.0, "-"))  # the first of the largest
         lines.append(f"largest relative move of {field}: {top[0]:.3g} ({top[1]})")
     return lines
 
