@@ -21,7 +21,6 @@ from .datasets import (
 )
 from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline, run_mg
 from .gmm import (
-    EmCollapseError,
     EmConfig,
     GmmModel,
     bic,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinormalParams",
     "DatasetError",
-    "EmCollapseError",
     "EmConfig",
     "FprGrid",
     "GmmModel",

@@ -6,8 +6,7 @@ output file: a report (json, csv or text table), per-curve CSVs, fitted
 model JSONs, optional SVG plots and an optional replicate-matrix dump.
 `run` loads a study, analyses it, renders it and only then writes.
 
-Exit statuses: 0 success, 2 input/validation error, 3 numerical failure,
-4 I/O error.
+Exit statuses: 0 success, 2 input/validation error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .datasets import (
     make_uniform_grid,
 )
 from .ensemble import MgConfig, MgEnsembleResult, mg_pipeline
-from .gmm import EM_TOL, EmCollapseError, EmConfig
+from .gmm import EM_TOL, EmConfig
 from .report import ESTIMATORS, Report, compare_table
 from .roc import (
     RocCurveGrid,
@@ -50,7 +49,6 @@ from .svg import histogram_svg, roc_overlay_svg
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 REPORT_FORMATS = ("json", "csv", "table")
@@ -343,9 +341,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # DatasetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EmCollapseError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

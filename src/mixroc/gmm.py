@@ -26,11 +26,6 @@ EM_TOL = 1e-8  # EM stops when |ll - previous E-step's ll| <= EM_TOL * (1 + |ll|
 _BLOCK_VALUES = 2**16
 
 
-class EmCollapseError(RuntimeError):
-    """No EM fit is usable: every restart ended NaN (:func:`fit_em`), or every restart at
-    every K tried starved (:func:`select_k`, possible only for k_min >= 2)."""
-
-
 @dataclass(frozen=True)
 class GmmModel:
     """A fitted univariate Gaussian mixture.
@@ -105,13 +100,13 @@ class EmConfig:
 
     A restart stops at the first E-step whose log-likelihood ll is within :data:`EM_TOL` *
     (1 + |ll|) of the E-step before it, or after `max_iter` M-steps, so its trace holds one
-    E-step more than its M-steps; one that starves a component first stops and fails (see
-    :func:`fit_em`). Variances are floored at 1e-6 * (sample range)^2. Restart r at K
-    components draws its centers from its own stream (population, K, r), so adding a K or a
-    restart changes no other. The restarts of one K run together, each stopping on its own,
-    with results identical to running them one by one. EM keeps one log-likelihood per
-    restart and E-step run; nothing is sized from `max_iter`, which is unbounded. `seed` lies
-    in [0, 2**128).
+    E-step more than its M-steps; one that starves a component first stops with
+    log-likelihood -inf, the one way a restart fails (see :func:`fit_em`). Variances are
+    floored at 1e-6 * (sample range)^2. Restart r at K components draws its centers from its
+    own stream (population, K, r), so adding a K or a restart changes no other. The restarts
+    of one K run together, each stopping on its own, with results identical to running them
+    one by one. EM keeps one log-likelihood per restart and E-step run; nothing is sized from
+    `max_iter`, which is unbounded. `seed` lies in [0, 2**128).
     """
 
     k_min: int = 1
@@ -251,8 +246,10 @@ def fit_em(
     on its own; the results are identical to running them one by one.
 
     Returns the :class:`GmmModel` of the first restart with the highest
-    final log-likelihood, -inf if every restart starved; a NaN restart never
-    wins, and :class:`EmCollapseError` says that every restart ended NaN.
+    final log-likelihood, -inf if every restart starved. No restart ends NaN:
+    the fit range rule keeps every squared standardised distance at most 1e6, so
+    every log-density is finite, and a restart stops before any M-step that
+    would divide by a mass N_k below one.
     With `return_trace` also every restart's log-likelihood trace, one entry
     per E-step, monotone from its first.
     """
@@ -270,10 +267,7 @@ def fit_em(
     *arrays, traces = zip(*(_em_restarts(x - shift, k, config, floor, rngs[start:start + batch])
                             for start in range(0, len(rngs), batch)))
     weights, means, variances, ll = (np.concatenate(a) for a in arrays)
-    valid = np.flatnonzero(~np.isnan(ll))
-    if not valid.size:
-        raise EmCollapseError(f"all {config.n_restarts} EM restarts collapsed for k={k}")
-    best = valid[np.argmax(ll[valid])]  # the first of the highest
+    best = int(np.argmax(ll))  # the first of the highest
     order = np.argsort(means[best])  # canonical component order
     model = GmmModel(weights[best, order], means[best, order] + shift, variances[best, order],
                      log_likelihood=float(ll[best]), n_train=int(x.size))
@@ -290,8 +284,10 @@ def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
     """Fit each K in [k_min, min(k_max, max(1, n // 3))] and return the BIC minimizer.
 
     The cap keeps the 3K - 1 free parameters below n. Ties break toward smaller K; a starved
-    fit's BIC is +inf, so it wins only if every K starved, which raises. Each restart of each
-    K draws from its own stream, so adding a K or a restart never changes the other fits.
+    fit's BIC is +inf, so it wins only if every K starved, which raises ValueError, as an
+    empty K range does. That needs k_min >= 2: the one component at K=1 holds all n scores.
+    Each restart of each K draws from its own stream, so adding a K or a restart never changes
+    the other fits.
     """
     n = len(sample)
     k_top = min(config.k_max, max(1, n // 3))
@@ -300,7 +296,7 @@ def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
                          f"below k_min={config.k_min}")
     best = min((fit_em(sample, k, config) for k in range(config.k_min, k_top + 1)), key=bic)
     if np.isinf(bic(best)):
-        raise EmCollapseError(f"every EM restart starved at each K in [{config.k_min}, {k_top}]")
+        raise ValueError(f"every EM restart starved at each K in [{config.k_min}, {k_top}]")
     return best
 
 

@@ -31,18 +31,17 @@ _EDGE_TOL = 1e-9
 def _quantile_plan(n: int, q: NDArray[np.float64]):
     """Gather indices and weights of `np.quantile(row, q, method="interpolated_inverted_cdf")`.
 
-    They depend only on the row length, so one plan serves every row.
-    The arithmetic is numpy's own, index clamping included, so that
-    :func:`_row_quantiles` is bit-identical to the per-row call.
+    They depend only on the row length, so one plan serves every row. The
+    weight gamma = n q - 1 - floor(n q - 1) lies in [0, 1), and the indices
+    floor(n q - 1) and the one after are clamped to the row. Where they are
+    clamped both name the same end, a = b, so :func:`_row_quantiles` gives
+    the per-row call's value there too (numpy weighs a = b by a gamma
+    outside [0, 1], which can differ only in the sign of a zero).
     """
     virtual = n * q - 1.0
     lo = np.floor(virtual)
-    hi = lo + 1.0
-    above = virtual >= n - 1
-    lo[above] = hi[above] = -1.0
-    below = virtual < 0
-    lo[below] = hi[below] = 0.0
-    return lo.astype(np.intp), hi.astype(np.intp), virtual - lo
+    return (np.clip(lo, 0, n - 1).astype(np.intp), np.clip(lo + 1, 0, n - 1).astype(np.intp),
+            virtual - lo)
 
 
 def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
@@ -54,8 +53,8 @@ def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
     lo, hi, gamma = plan
     a = rows[:, lo]
     b = rows[:, hi]
-    # ignored: the overflow of d and its nan lerp, both replaced below, and a(1-g) + b g
-    # at clamped indices (a = b, gamma outside [0, 1]), where d = 0 keeps the lerp
+    # ignored: the overflow of d and the nan of its lerp (d = inf times gamma = 0), both
+    # replaced below
     with np.errstate(over="ignore", invalid="ignore"):
         d = b - a
         lerp = np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma)

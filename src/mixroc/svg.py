@@ -130,8 +130,10 @@ def histogram_svg(scores, title: str) -> str:
     """
     scores = np.asarray(scores, dtype=float)
     counts, edges = np.histogram(scores, bins=_bin_edges(scores, 30))
+    widths = np.diff(edges)
     with np.errstate(over="ignore"):  # scores a few subnormals apart, or n * bin width > 1e308
-        density = counts / (counts.sum() * np.diff(edges))
+        mass = counts.sum() * widths
+        density = np.where(np.isinf(mass), counts / counts.sum() / widths, counts / mass)
         top = float(density.max()) * 1.08
     if not 0.0 < top < np.inf:
         raise ValueError(f"{title}: the density of the span {scores.min():.3g} to "

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp, ndtr, ndtri
 
@@ -150,7 +152,7 @@ class TestFitEm:
         for trace in traces:  # each stops at the starving E-step, monotone up to there
             assert len(trace) < config.max_iter + 1
             assert np.all(np.diff(trace) >= 0.0)
-        with pytest.raises(gmm.EmCollapseError, match="starved"):
+        with pytest.raises(ValueError, match="starved"):
             select_k(sample, EmConfig(k_min=3, k_max=3, seed=0, n_restarts=3))
         assert np.isfinite(bic(select_k(sample, config)))
 
@@ -621,33 +623,44 @@ class TestModelValidation:
         assert back.n_train == model.n_train
 
 
-def test_collapse_error_when_every_restart_diverges(monkeypatch):
-    import mixroc.gmm as gmm_mod
-
-    def broken(x, k, config, floor, rngs):
-        r = len(rngs)
-        return (np.full((r, k), 1.0 / k), np.zeros((r, k)), np.ones((r, k)), np.full(r, np.nan),
-                [[float("nan")] for _ in rngs])
-
-    monkeypatch.setattr(gmm_mod, "_em_restarts", broken)
-    with pytest.raises(gmm_mod.EmCollapseError, match="collapsed"):
-        fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
+# shapes rescaled to the range [0, 1] (a constant one to 0), then scaled and shifted
+CORNER_SHAPES = {
+    "ties": lambda rng, n: rng.integers(0, 3, n) / 2.0,
+    "two-point": lambda rng, n: rng.integers(0, 2, n).astype(float),
+    "outlier": lambda rng, n: np.r_[rng.uniform(0.0, 1e-3, n - 1), 1.0],
+}
 
 
-def test_nan_restarts_never_win_over_starved_ones(monkeypatch):
-    # restart 0 ends NaN, 1 and 2 starve: the first starved restart is the fit, not the NaN;
-    # the kernel sees the scores centred at x[n // 2] = 3, and fit_em adds that back
-    def mixed(x, k, config, floor, rngs):
-        r = len(rngs)
-        means = np.arange(r * k, dtype=float).reshape(r, k)
-        means[0] = np.nan
-        return (np.full((r, k), 1.0 / k), means, np.ones((r, k)),
-                np.r_[np.nan, np.full(r - 1, -np.inf)], [[0.0] for _ in rngs])
+@st.composite
+def corner_fits(draw):
+    """(scores, k, max_iter) at the corners of the fit range rule."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = CORNER_SHAPES[draw(st.sampled_from(sorted(CORNER_SHAPES)))](rng, n)
+    unit = (unit - unit.min()) / (np.ptp(unit) or 1.0)
+    centre = draw(st.sampled_from([0.0, 1e300, -1e300, 1e307, 5e-324]))
+    spread = draw(st.sampled_from([0.0, 1e-150, 1e150]))
+    return (centre + spread * unit, draw(st.integers(1, min(5, n))),
+            draw(st.sampled_from([1, 2, 500])))
 
-    monkeypatch.setattr(gmm, "_em_restarts", mixed)
-    model = fit_em(sample_of([1.0, 2.0, 3.0, 4.0]), 2, EmConfig(n_restarts=3))
-    assert model.log_likelihood == -np.inf
-    np.testing.assert_array_equal(model.means, [5.0, 6.0])
+
+@given(corner_fits())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_em_restarts_never_end_nan(fit):
+    # the range rule keeps every z^2 <= 1e6 and a restart stops before dividing by N_k < 1,
+    # so a restart either starves (ll = -inf) or ends finite, and warns about nothing
+    scores, k, max_iter = fit
+    sample = sample_of(scores)
+    gmm._check_fit_range(sample)
+    x = sample.scores
+    rngs = [gmm._stream(0, 0, k, r) for r in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *params, ll, traces = gmm._em_restarts(x - x[x.size // 2], k, EmConfig(max_iter=max_iter),
+                                              gmm._effective_floor(x), rngs)
+    assert np.all(np.isfinite(params))
+    assert not np.any(np.isnan(ll))
+    assert not np.any(np.isnan(np.concatenate(traces)))
 
 
 def test_em_memory_does_not_grow_with_max_iter():

@@ -320,20 +320,6 @@ class TestCliProcess:
 
 
 class TestMainInProcess:
-    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
-        import mixroc.cli as cli_mod
-        from mixroc.gmm import EmCollapseError
-
-        def collapse(*args, **kwargs):
-            raise EmCollapseError("all restarts collapsed")
-
-        monkeypatch.setattr(cli_mod, "mg_pipeline", collapse)
-        code = main([
-            "--input", DATA, "--score-col", "ca125", "--label-col", "status",
-            "--out", str(tmp_path),
-        ])
-        assert code == 3
-
     def test_no_input_exits_2_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["--out", str(out)]) == EXIT_INPUT

@@ -25,12 +25,13 @@ def _floats_from(x, count):
     [0.0, 3.5e-193],
     [-1e150, 1e150],
     [-1e308, 1e308],
+    np.r_[-1e308, np.zeros(25), 1e308],
     [-np.finfo(float).max, np.finfo(float).max],
     [np.finfo(float).max] * 3,
     [-np.finfo(float).max] * 3,
 ], ids=["3-ulps-at-1", "3-ulps-at-1e10", "zero-range", "zero-range-at-1e17", "30-ulps",
-        "100-ulps", "tiny-range", "huge-range", "range-beyond-float", "range-of-all-floats",
-        "zero-range-at-max", "zero-range-at-minus-max"])
+        "100-ulps", "tiny-range", "huge-range", "range-beyond-float", "27-scores-beyond-float",
+        "range-of-all-floats", "zero-range-at-max", "zero-range-at-minus-max"])
 def test_histogram_renders_every_valid_sample(scores):
     sample = ScoreSample(scores, PopulationTag.NON_DISEASED)
     svg = histogram_svg(sample.scores, "Scores")
