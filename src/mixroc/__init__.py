@@ -36,7 +36,6 @@ from .roc import (
     RocCurveGrid,
     auc_mann_whitney,
     auc_trapezoid,
-    auc_trapezoid_points,
     empirical_roc,
     empirical_roc_points,
     functional_roc,
@@ -60,7 +59,6 @@ __all__ = [
     "ScoreSample",
     "auc_mann_whitney",
     "auc_trapezoid",
-    "auc_trapezoid_points",
     "bic",
     "binormal_auc",
     "binormal_curve",

@@ -186,7 +186,8 @@ def analyse(
         "m": config.mg.m,
         "alpha": config.mg.alpha,
         "grid_size": grid.count,
-        "em": {**asdict(config.em), "tol": EM_TOL},
+        # select_k searches from K=1; schema 1 states it as "k_min", as it states EM_TOL
+        "em": {"k_min": 1, **asdict(config.em), "tol": EM_TOL},
         "estimators": list(config.estimators),
         "versions": {
             "mixroc": __version__,

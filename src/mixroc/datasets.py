@@ -118,6 +118,7 @@ class FprGrid:
 
 
 DEFAULT_GRID_SIZE = 512
+_REFINED_COUNT = 4096  # points of make_refined_grid
 # smallest FPR of make_refined_grid's geometric ladder, and 1 - it the largest
 _REFINED_EDGE = 1e-10
 _REFINED_EDGE_POINTS = 256  # ladder points at each end
@@ -130,18 +131,15 @@ def make_uniform_grid(count: int = DEFAULT_GRID_SIZE) -> FprGrid:
     return FprGrid(np.linspace(0.0, 1.0, count))
 
 
-def make_refined_grid(count: int = 4096) -> FprGrid:
-    """Uniform grid with geometric refinement toward both endpoints.
+def make_refined_grid() -> FprGrid:
+    """4096-point uniform grid with geometric refinement toward both endpoints.
 
     Curves like Phi(a + b Phi^{-1}(t)) are extremely steep next to t=0 and
     t=1 when b is far from 1; clustering points there lets trapezoidal
     quadrature resolve the corners that a uniform grid of the same size
     cannot.
     """
-    core_count = count - 2 * _REFINED_EDGE_POINTS
-    if core_count < 2:
-        raise ValueError(f"count {count} too small for the edge refinement")
-    core = np.linspace(0.0, 1.0, core_count)
+    core = np.linspace(0.0, 1.0, _REFINED_COUNT - 2 * _REFINED_EDGE_POINTS)
     ladder = np.geomspace(_REFINED_EDGE, core[1], _REFINED_EDGE_POINTS + 1)[:-1]
     points = np.unique(np.concatenate([core, ladder, 1.0 - ladder]))
     return FprGrid(points)

@@ -96,7 +96,7 @@ class GmmModel:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM and model-selection settings: K range, iteration cap, restarts, seed.
+    """EM and model-selection settings: K cap, iteration cap, restarts, seed.
 
     A restart stops at the first E-step whose log-likelihood ll is within :data:`EM_TOL` *
     (1 + |ll|) of the E-step before it, or after `max_iter` M-steps, so its trace holds one
@@ -109,15 +109,14 @@ class EmConfig:
     `max_iter`, which is unbounded. `seed` lies in [0, 2**128).
     """
 
-    k_min: int = 1
     k_max: int = 5
     max_iter: int = 500
     n_restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.k_min <= self.k_max:
-            raise ValueError("need 1 <= k_min <= k_max")
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.n_restarts < 1:
@@ -281,23 +280,15 @@ def bic(model: GmmModel) -> float:
 
 
 def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
-    """Fit each K in [k_min, min(k_max, max(1, n // 3))] and return the BIC minimizer.
+    """Fit each K in [1, min(k_max, max(1, n // 3))] and return the BIC minimizer.
 
     The cap keeps the 3K - 1 free parameters below n. Ties break toward smaller K; a starved
-    fit's BIC is +inf, so it wins only if every K starved, which raises ValueError, as an
-    empty K range does. That needs k_min >= 2: the one component at K=1 holds all n scores.
-    Each restart of each K draws from its own stream, so adding a K or a restart never changes
-    the other fits.
+    fit's BIC is +inf, so it never wins: the one component at K=1 holds all n >= 2 scores,
+    never starves and has a finite BIC. Each restart of each K draws from its own stream, so
+    adding a K or a restart never changes the other fits.
     """
-    n = len(sample)
-    k_top = min(config.k_max, max(1, n // 3))
-    if config.k_min > k_top:
-        raise ValueError(f"sample size {n} allows K <= {k_top} (3K - 1 < n), "
-                         f"below k_min={config.k_min}")
-    best = min((fit_em(sample, k, config) for k in range(config.k_min, k_top + 1)), key=bic)
-    if np.isinf(bic(best)):
-        raise ValueError(f"every EM restart starved at each K in [{config.k_min}, {k_top}]")
-    return best
+    k_top = min(config.k_max, max(1, len(sample) // 3))
+    return min((fit_em(sample, k, config) for k in range(1, k_top + 1)), key=bic)
 
 
 def _elementwise(func):

@@ -210,11 +210,6 @@ def auc_trapezoid(curve: RocCurveGrid) -> float:
     return float(_trapezoid_rows(curve.tpr[None], curve.grid.points)[0])
 
 
-def auc_trapezoid_points(fpr, tpr) -> float:
-    """Trapezoidal area under an explicit point polyline (duplicate FPR ok)."""
-    return float(np.trapezoid(np.asarray(tpr, float), np.asarray(fpr, float)))
-
-
 def auc_mann_whitney(dataset: LabeledDataset) -> float:
     """Mann-Whitney AUC: P(Y > X) + 0.5 P(Y = X), via midranks.
 

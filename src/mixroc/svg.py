@@ -87,9 +87,9 @@ class _Canvas:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.add(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{dash_attr}/>')
 
-    def polygon(self, xs, ys, color: str, opacity: float = 0.45) -> None:
+    def band(self, xs, ys) -> None:
         pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
-        self.add(f'<polygon points="{pts}" fill="{color}" fill-opacity="{opacity}" stroke="none"/>')
+        self.add(f'<polygon points="{pts}" fill="{PALETTE["band"]}" fill-opacity="0.45" stroke="none"/>')
 
     def legend(self, entries) -> None:
         x = MARGIN_L + 16
@@ -106,10 +106,10 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"])
 
 
-def _bin_edges(scores: np.ndarray, bins: int) -> np.ndarray:
-    """The edges `np.histogram(scores, bins)` uses, merged where they would repeat.
+def _bin_edges(scores: np.ndarray) -> np.ndarray:
+    """The edges `np.histogram(scores, 30)` uses, merged where they would repeat.
 
-    A range of a few ulps holds fewer than `bins` distinct edges, and above
+    A range of a few ulps holds fewer than 30 distinct edges, and above
     2**53 numpy's ±0.5 widening of a zero range is no widening; `np.histogram`
     raises on both, while these edges give as many bins as the range holds.
     """
@@ -117,7 +117,7 @@ def _bin_edges(scores: np.ndarray, bins: int) -> np.ndarray:
     if lo == hi:  # numpy's widening, by at least one float each way short of +-max
         lo = min(lo - 0.5, np.nextafter(lo, -np.finfo(float).max))
         hi = max(hi + 0.5, np.nextafter(hi, np.finfo(float).max))
-    edges = np.linspace(lo / 4, hi / 4, bins + 1) * 4  # quarters, as in `_Canvas.px`
+    edges = np.linspace(lo / 4, hi / 4, 31) * 4  # quarters, as in `_Canvas.px`
     edges[[0, -1]] = lo, hi  # a quarter rounds below 2**-1020
     return np.unique(edges)
 
@@ -129,7 +129,7 @@ def histogram_svg(scores, title: str) -> str:
     axis that leaves the float range raises :class:`ValueError`.
     """
     scores = np.asarray(scores, dtype=float)
-    counts, edges = np.histogram(scores, bins=_bin_edges(scores, 30))
+    counts, edges = np.histogram(scores, bins=_bin_edges(scores))
     widths = np.diff(edges)
     with np.errstate(over="ignore"):  # scores a few subnormals apart, or n * bin width > 1e308
         mass = counts.sum() * widths
@@ -167,7 +167,7 @@ def roc_overlay_svg(curves, band=None) -> str:
         t, lo, hi = band
         xs = np.concatenate([t, t[::-1]])
         ys = np.concatenate([hi, lo[::-1]])
-        canvas.polygon(xs, ys, PALETTE["band"])
+        canvas.band(xs, ys)
     canvas.polyline([0, 1], [0, 1], "#bbbbbb", width=1.0, dash="4,4")
     legend = []
     for label, fpr, tpr in curves:

@@ -102,7 +102,7 @@ class TestClosedFormAuc:
     def test_lattice_quadrature_agreement(self):
         # endpoint-refined grid: b far from 1 makes the curve too steep at
         # the corners for a uniform grid of the same size
-        grid = make_refined_grid(4096)
+        grid = make_refined_grid()
         for a in np.linspace(-3, 3, 7):
             for b in (0.3, 0.7, 1.0, 1.8, 3.0):
                 params = BinormalParams(a, b, 0.0, b, a, 1.0)

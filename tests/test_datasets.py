@@ -198,16 +198,13 @@ class TestGrid:
             FprGrid(np.array([-0.1, 1.0]))
 
     def test_refined_grid(self):
-        g = make_refined_grid(4096)
+        g = make_refined_grid()
         assert g.count == 4096
         assert g.points[0] == 0.0 and g.points[-1] == 1.0
         assert np.all(np.diff(g.points) > 0)
         # endpoints are much better resolved than the uniform spacing
         assert g.points[1] < 1e-9 and 1.0 - g.points[-2] < 1e-9
 
-    def test_refined_grid_rejects_tiny_count(self):
-        with pytest.raises(ValueError):
-            make_refined_grid(100)
 
 
 def test_from_arrays_tags():

@@ -152,8 +152,6 @@ class TestFitEm:
         for trace in traces:  # each stops at the starving E-step, monotone up to there
             assert len(trace) < config.max_iter + 1
             assert np.all(np.diff(trace) >= 0.0)
-        with pytest.raises(ValueError, match="starved"):
-            select_k(sample, EmConfig(k_min=3, k_max=3, seed=0, n_restarts=3))
         assert np.isfinite(bic(select_k(sample, config)))
 
     def test_surviving_restart_wins(self):
@@ -296,20 +294,10 @@ class TestSelectK:
         model = select_k(sample_of(data), self.CFG)
         assert model.k == 2
 
-    def test_degenerate_range_returns_that_k(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(0, 1, 200)
-        model = select_k(sample_of(data), EmConfig(k_min=3, k_max=3))
-        assert model.k == 3
-
     @pytest.mark.parametrize("n", [2, 5])
     def test_k_capped_so_parameters_stay_below_n(self, n):
         # without the cap 2 scores took K=2 and 5 scores K=5, every variance on the floor
         assert select_k(sample_of(np.arange(float(n)))).k == 1
-
-    def test_k_min_above_cap_rejected(self):
-        with pytest.raises(ValueError, match=r"allows K <= 1 \(3K - 1 < n\)"):
-            select_k(sample_of(np.arange(5.0)), EmConfig(k_min=2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_no_floor_spike_on_ca125_controls(self, seed):
@@ -661,6 +649,8 @@ def test_em_restarts_never_end_nan(fit):
     assert np.all(np.isfinite(params))
     assert not np.any(np.isnan(ll))
     assert not np.any(np.isnan(np.concatenate(traces)))
+    if k == 1:  # the one component holds every score, so no restart starves
+        assert np.all(np.isfinite(ll))
 
 
 def test_em_memory_does_not_grow_with_max_iter():
@@ -702,8 +692,8 @@ class TestEmConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(k_min=0),
-            dict(k_min=3, k_max=2),
+            dict(k_max=0),
+            dict(k_max=-1),
             dict(max_iter=0),
             dict(n_restarts=0),
             dict(seed=-1),

@@ -197,6 +197,14 @@ class TestCompareTable:
         assert "<" in mg_line and "<" not in bin_line and "foo" not in table
         assert "tie" not in table
 
+    def test_no_empirical_entry_marks_nothing(self):
+        report = self.make_report("d", 0.80, 0.75, 0.85)
+        del report.estimators["empirical"]
+        table = compare_table([report])
+        rows = [l for l in table.splitlines() if l.startswith(("binormal", "mg"))]
+        assert len(rows) == 2 and not any("<" in row for row in rows)
+        assert "tie" not in table
+
     def test_exact_text(self):
         # mg is missing from "two"; binormal and mg tie on "one"; binormal is closed-form
         one = self.make_report("one", 0.80, 0.75, 0.85)

@@ -50,4 +50,4 @@ def test_histogram_refuses_a_density_beyond_the_float_range():
 def test_bin_edges_are_numpys_where_numpy_has_thirty_bins(seed):
     rng = np.random.default_rng(seed)
     scores = rng.lognormal(size=60) * 10.0 ** rng.uniform(-5, 5)
-    np.testing.assert_array_equal(_bin_edges(scores, 30), np.histogram_bin_edges(scores, 30))
+    np.testing.assert_array_equal(_bin_edges(scores), np.histogram_bin_edges(scores, 30))

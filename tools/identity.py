@@ -11,8 +11,7 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
 - demo/...    the five demos, stdout and the files they write;
 - fits/...    `fit_em` models and traces, and `select_k` models, on a fixed input set: the
               Wieand populations at seeds 0-19, synthetic shapes at K 1-5 and four
-              `max_iter` values, hostile inputs (ties, n=2, a constant 1e200), and
-              `select_k`'s refusal where every restart starves;
+              `max_iter` values, and hostile inputs (ties, n=2, a constant 1e200);
 - functional-roc  `functional_roc` on fixed models.
 
 A fits case's "files" are its fits, each hashed over the model, every trace, the error and
@@ -229,9 +228,6 @@ def _library_cases(group: str, data: str):
             for n in (30, 200):
                 for seed in range(3):
                     yield f"{shape}-n{n}-seed{seed}", select(draw(n), EmConfig(seed=seed))
-        # every restart at K=3 starves on these 30 scores, so select_k refuses
-        yield "starved-k3", select(np.random.default_rng(34).normal(0.0, 1.0, 30),
-                                   EmConfig(k_min=3, k_max=3, seed=0, n_restarts=3))
     if group == "fits/synthetic":
         for shape, draw in shapes.items():
             for n in (2, 5, 30, 200):
