@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize.elementwise import find_root
 from scipy.special import log_ndtr, ndtri
 
 from .datasets import PopulationTag, ScoreSample, _check_fit_range
@@ -326,6 +325,41 @@ def _log_tail(model: GmmModel, c: NDArray[np.float64], sign) -> NDArray[np.float
     return _log_sum_exp(log_ndtr(sign * z) + np.log(model.weights)[:, None])
 
 
+def _chandrupatla(gap, x1, x2):
+    """Roots of the increasing elementwise `gap` in the brackets [x1, x2], all points together,
+    by Chandrupatla's method (Adv. Eng. Software 28:145, 1997): inverse quadratic interpolation
+    where it is safe, else bisection. `gap(c, at)` gets the indices `at` of the points of c.
+    A point stops when its gap is 0 (at most the smallest normal float) or its bracket is
+    narrower than 4 eps |c| + 4 tiny, at the bracket end of smaller |gap|: the steps and the
+    default stopping rule of SciPy's elementwise root finder."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    root, at = np.empty_like(x1), np.arange(x1.size)
+    f1, f2 = gap(x1, at), gap(x2, at)
+    x3, f3 = x2, f2  # x3 == x2 makes the first step a bisection
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where a step bisects
+        while True:
+            small = np.abs(f1) < np.abs(f2)
+            best = np.where(small, x1, x2)
+            tol = 4.0 * eps * np.abs(best) + 4.0 * tiny
+            go = (np.abs(np.where(small, f1, f2)) > tiny) & (np.abs(x2 - x1) >= tol)  # NaN stops
+            root[at[~go]] = best[~go]
+            if not go.any():
+                return root
+            margin = 0.5 * tol / np.abs(x2 - x1)  # keeps a step at least tol / 2 inside
+            at, x1, x2, x3, f1, f2, f3, margin = (
+                v[go] for v in (at, x1, x2, x3, f1, f2, f3, margin))
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            quadratic = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(quadratic, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            x = x1 + np.clip(t, margin, 1.0 - margin) * (x2 - x1)
+            f = gap(x, at)
+            kept = np.sign(f) == np.sign(f1)  # x has x1's sign: x1 is dropped, else x2 is
+            x3, f3 = np.where(kept, x1, x2), np.where(kept, f1, f2)
+            x2, f2 = np.where(kept, x2, x1), np.where(kept, f2, f1)
+            x1, f1 = x, f
+
+
 @_elementwise
 def survival_inverse(model: GmmModel, t):
     """Threshold c with survival(model, c) = t, for every t in (0, 1).
@@ -334,13 +368,13 @@ def survival_inverse(model: GmmModel, t):
     root lies in the analytic bracket [min_k c_k, max_k c_k] with
     c_k = mu_k - sigma_k * Phi^{-1}(t), where every component survival is
     at least (at the left end) or at most (at the right end) t. All points
-    are solved together by scipy.optimize.elementwise.find_root on the
+    are solved together by Chandrupatla's bracketed method on the
     smaller tail in log space, log P(X > c) against log t for t <= 1/2 and
-    log P(X <= c) against log(1 - t) above. Its default tolerances stop
-    once the bracket reaches float resolution in c. The round
-    trip is therefore accurate relative to min(t, 1 - t), to a few 1e-14
-    for t down to 1e-12 on well-conditioned mixtures; near a variance-floor
-    spike it is limited by the spacing of floats in c instead.
+    log P(X <= c) against log(1 - t) above. A point stops once its bracket
+    reaches float resolution in c, or its gap is 0. The round trip is
+    therefore accurate relative to min(t, 1 - t): to a few 1e-14 for t
+    down to 1e-12 and to 1e-12 down to 1e-300 on well-conditioned mixtures;
+    near a variance-floor spike it is limited by the spacing of floats in c.
     """
     inside = (t > 0.0) & (t < 1.0)
     if not np.all(inside):
@@ -353,12 +387,12 @@ def survival_inverse(model: GmmModel, t):
     sign = np.where(upper, 1.0, -1.0)
     target = np.where(upper, np.log1p(-t), np.log(t))
 
-    def gap(c, sign, target):
+    def gap(c, at):
         # increasing in c on both sides: -(log survival - log t) below 1/2,
         # log CDF - log(1 - t) above
-        return sign * (_log_tail(model, c, sign) - target)
+        return sign[at] * (_log_tail(model, c, sign[at]) - target[at])
 
-    return find_root(gap, (c_k.min(axis=1) - pad, c_k.max(axis=1) + pad), args=(sign, target)).x
+    return _chandrupatla(gap, c_k.min(axis=1) - pad, c_k.max(axis=1) + pad)
 
 
 def sample_from(model: GmmModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:

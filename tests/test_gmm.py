@@ -43,6 +43,9 @@ CA125_CONTROLS = GmmModel(
     [0.7257448368421282, 0.2154318288889437, 0.0392154911316733, 0.0196078431372549],
     [10.320299163294631, 31.547749903454793, 102.55003137133548, 179.0],
     [10.123143936706988, 160.34901898868912, 40.322499999967775, 0.030102249999999997])
+# a spike of variance 1e-6 beside components with means 6e3 apart
+SPIKE_WIDE_SPREAD = GmmModel([0.3, 0.2, 0.2, 0.2, 0.1], [-3e3, -1.0, 0.0, 2e2, 3e3],
+                             [1e-6, 1.0, 4.0, 1e2, 1e4])
 
 
 def scalar_em(x, k, config, floor, rng):
@@ -483,8 +486,10 @@ class TestSurvivalInverse:
 
     def test_relative_round_trip_in_both_tails(self):
         rng = np.random.default_rng(99)
-        lower = np.geomspace(1e-12, 0.5, 200)
-        upper = 1.0 - lower
+        edge = np.geomspace(1e-12, 0.5, 200)
+        # 1 - t rounds to 1 below t = 1e-16, so the upper tail stops at 1 - 1e-12
+        lower = np.r_[np.geomspace(1e-300, 1e-12, 100, endpoint=False), edge]
+        upper = 1.0 - edge
         for _ in range(50):
             model = random_mixture(rng)
             c = survival_inverse(model, lower)
@@ -494,12 +499,8 @@ class TestSurvivalInverse:
             cdf = ndtr((c[:, None] - model.means) / model.sigmas) @ model.weights
             assert np.max(np.abs(cdf - (1.0 - upper)) / (1.0 - upper)) <= 1e-9
 
-    @pytest.mark.parametrize("model", [
-        # a spike of variance 1e-6 beside components with means 6e3 apart
-        GmmModel([0.3, 0.2, 0.2, 0.2, 0.1], [-3e3, -1.0, 0.0, 2e2, 3e3],
-                 [1e-6, 1.0, 4.0, 1e2, 1e4]),
-        CA125_CONTROLS,
-    ], ids=["spike-wide-spread", "ca125-controls"])
+    @pytest.mark.parametrize("model", [SPIKE_WIDE_SPREAD, CA125_CONTROLS],
+                             ids=["spike-wide-spread", "ca125-controls"])
     def test_hostile_models(self, model, monkeypatch):
         calls = []
         log_tail = gmm._log_tail
@@ -514,8 +515,26 @@ class TestSurvivalInverse:
         c_k = model.means - spread
         assert np.all(c >= c_k.min(axis=1) - slack)
         assert np.all(c <= c_k.max(axis=1) + slack)
-        # two bracket-end evaluations, then fewer steps than the cap
+        # two bracket-end evaluations, then one per step: no cap stops the solve, it ends
+        # once every bracket reaches float resolution in c, well inside this bound
         assert len(calls) < 200 + 2
+
+    def test_matches_scipy_find_root(self, monkeypatch):
+        # scipy's find_root, the solve the port replaced, on the same brackets and gap
+        from scipy.optimize.elementwise import find_root
+
+        solves = []
+        solve = gmm._chandrupatla
+        monkeypatch.setattr(gmm, "_chandrupatla", lambda *a: solves.append(a) or solve(*a))
+        rng = np.random.default_rng(73)
+        edge = np.geomspace(1e-12, 0.5, 200)
+        t = np.unique(np.concatenate([make_refined_grid().points[1:-1], edge, 1.0 - edge]))
+        models = [CA125_CONTROLS, SPIKE_WIDE_SPREAD] + [random_mixture(rng) for _ in range(20)]
+        for model in models:
+            c = survival_inverse(model, t)
+            gap, lower, upper = solves.pop()
+            ref = find_root(gap, (lower, upper), args=(np.arange(t.size),)).x
+            assert np.all(np.abs(c - ref) <= 16 * np.spacing(np.abs(ref)))
 
     def test_array_keeps_shape(self):
         model = GmmModel([0.6, 0.4], [-2.0, 3.0], [1.5, 0.3])

@@ -46,6 +46,16 @@ def test_diff_lists_files_and_fit_moves():
         "largest relative move of variances: 0 (fits/x: a)",
         "largest relative move of log_likelihood: 0 (fits/x: a)",
     ]
+    # curves: R(t) moves are absolute, and the fits' lines leave them out
+    curve = {"tpr": [0.0, 0.5, 1.0]}
+    before = manifest("0", {"r": curve, "s": curve}, group="functional-roc")
+    after = manifest("1", {"r": {"tpr": [0.0, 0.25, 1.0]}, "s": {"tpr": [0.0, 0.5 + 1e-15, 1.0]}},
+                     group="functional-roc")
+    assert identity.diff_manifests(before, after) == [
+        "functional-roc: r differs", "functional-roc: s differs"]
+    assert identity.curve_moves(before, after) == [
+        "largest absolute move of R(t): 0.25 (functional-roc: r)"]
+    assert identity.fit_moves(before, after)[0] == "K changes: 0 of 0 fits (None: an error)"
     # a library group that fails on both sides compares no fit, even with equal stderr
     failed = manifest("0", {}, group="fits/wieand", exit_code=1)
     assert identity.diff_manifests(failed, failed) == [

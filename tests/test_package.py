@@ -1,6 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and what importing it loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mixroc
@@ -18,3 +21,17 @@ def test_all_is_one_literal_list_of_package_names():
     assert len(elts) == len(mixroc.__all__) == len(set(mixroc.__all__))
     for name in mixroc.__all__:
         assert hasattr(mixroc, name), name
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the package's one scipy import is scipy.special; scipy.optimize would add ~95 modules
+    package_root = str(Path(mixroc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, mixroc, mixroc.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-W", "error::FutureWarning", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

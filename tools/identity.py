@@ -14,12 +14,13 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
               `max_iter` values, and hostile inputs (ties, n=2, a constant 1e200);
 - functional-roc  `functional_roc` on fixed models.
 
-A fits case's "files" are its fits, each hashed over the model, every trace, the error and
-the warnings; the manifest also keeps each fit's K and parameters. `manifest` exits 1 when
-a case exits non-zero. `diff` lists the cases and files that differ, and the library groups
-that failed on either side, whose fits it could not compare; for fits it adds the K changes
-and the largest relative moves of means, variances and log-likelihoods. A mean's move is
-relative to max(|mu_A|, |mu_B|, sigma_A) of its component, so a mean at 0 is judged against
+A library case's "files" are its calls, each hashed over the model or curve, every trace,
+the error and the warnings; the manifest also keeps each fit's K and parameters and each
+curve's R(t) values. `manifest` exits 1 when a case exits non-zero. `diff` lists the cases
+and files that differ, and the library groups that failed on either side, whose fits it could
+not compare; for fits it adds the K changes and the largest relative moves of means, variances
+and log-likelihoods, and for `functional-roc` the largest absolute move of R(t). A mean's move
+is relative to max(|mu_A|, |mu_B|, sigma_A) of its component, so a mean at 0 is judged against
 its component's spread; the others are relative to max(|A|, |B|). It exits 1 when it
 lists anything, else 0. A tree of the parent commit to compare with comes from
 `git worktree add /tmp/parent HEAD~1`.
@@ -144,15 +145,17 @@ def _relative_move(x, y, scale=0.0) -> float:
     return float(np.max(np.where(x == y, 0.0, np.nan_to_num(move, nan=np.inf))))
 
 
+def _kept(manifest: dict, prefix: str) -> dict:
+    """Each call's kept record, keyed "case: call", in the cases whose names start with prefix."""
+    return {f"{case}: {call}": record for case, body in manifest["cases"].items()
+            if case.startswith(prefix) for call, record in body.get("fits", {}).items()}
+
+
 def fit_moves(a: dict, b: dict) -> list[str]:
     """The K changes of the fits in both manifests, and the largest relative moves of the
     means (against max(|mu_A|, |mu_B|, sigma_A)), variances and log-likelihoods among the
     fits whose K held."""
-    def fits(manifest):
-        return {f"{case}: {fit}": record for case, body in manifest["cases"].items()
-                for fit, record in body.get("fits", {}).items()}
-
-    fa, fb = fits(a), fits(b)
+    fa, fb = _kept(a, "fits/"), _kept(b, "fits/")
     common = sorted(fa.keys() & fb.keys())
     changed = [name for name in common if fa[name].get("k") != fb[name].get("k")]
     lines = [f"K changes: {len(changed)} of {len(common)} fits (None: an error)"]
@@ -166,8 +169,18 @@ def fit_moves(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def curve_moves(a: dict, b: dict) -> list[str]:
+    """The largest absolute move of R(t) among the curves in both manifests."""
+    ca, cb = _kept(a, "functional-roc"), _kept(b, "functional-roc")
+    moves = [(float(np.max(np.abs(np.subtract(ca[name]["tpr"], cb[name]["tpr"])))), name)
+             for name in sorted(ca.keys() & cb.keys()) if "tpr" in ca[name] and "tpr" in cb[name]]
+    top = max(moves, key=lambda move: move[0], default=(0.0, "-"))  # the first of the largest
+    return [f"largest absolute move of R(t): {top[0]:.3g} ({top[1]})"]
+
+
 def _record(call) -> dict:
-    """Run call() once and hash its result, error and warnings; keep a fit's K and parameters.
+    """Run call() once and hash its result, error and warnings; keep a fit's K and parameters
+    and a curve's R(t) values.
 
     call() returns a model, a (model, traces) pair or a curve.
     """
@@ -182,7 +195,7 @@ def _record(call) -> dict:
     if isinstance(result, Exception):
         out["error"] = kept["error"] = f"{type(result).__name__}: {result}"
     elif hasattr(result, "tpr"):
-        out["tpr"] = result.tpr.tolist()
+        out["tpr"] = kept["tpr"] = result.tpr.tolist()
     else:
         model, out["traces"] = result if isinstance(result, tuple) else (result, None)
         kept = {"k": model.k, "weights": model.weights.tolist(), "means": model.means.tolist(),
@@ -296,6 +309,8 @@ def main(argv=None) -> int:
     lines = diff_manifests(a, b)
     if any(line.startswith("fits/") for line in lines):
         lines += fit_moves(a, b)
+    if any(line.startswith("functional-roc:") for line in lines):
+        lines += curve_moves(a, b)
     print("\n".join(lines) or "no differences")
     return 1 if lines else 0
 
