@@ -2,8 +2,8 @@
 
 Each replicate draws a synthetic study (one array per population) from the
 fitted mixtures. A block of replicates is sorted once per population, and
-the row kernels of :mod:`mixroc.roc`, shared with the single-study
-functions, give each row's empirical ROC on the shared grid and its AUCs.
+one call of :mod:`mixroc.roc`'s block kernel gives each row's empirical
+ROC on the shared grid and its AUCs, as the single-study functions would.
 The ensemble mean is the curve estimate; per-point standard errors give a
 mean confidence band, pointwise quantiles an envelope band. Replicate l
 draws from the stream (l,) of the master seed. Blocks are reduced with
@@ -22,12 +22,9 @@ from scipy.special import ndtri
 from .datasets import FprGrid, LabeledDataset, make_uniform_grid
 from .gmm import EmConfig, GmmModel, _check_seed, _stream, sample_from, select_k
 
-# auc_mann_whitney and empirical_roc stay importable here because
-# benchmarks/tracing.py wraps them on this module
-from .roc import (  # noqa: F401
-    RocCurveGrid, _mann_whitney_rows, _quantile_plan, _row_quantiles, _tpr_rows,
-    _trapezoid_rows, auc_mann_whitney, auc_trapezoid, empirical_roc,
-)
+from .roc import RocCurveGrid, _roc_rows, auc_trapezoid
+# importable here only because benchmarks/tracing.py wraps them on this module
+from .roc import auc_mann_whitney, empirical_roc  # noqa: F401
 
 # values per block of replicates, where a block row holds at most
 # n_x + n_y + grid count of them: keeps the working memory of run_mg small
@@ -91,9 +88,9 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     Replicate l draws its two samples from the stream (l,) of the master
     seed. Replicates are processed in blocks of rows: the draws of a block
     fill two score matrices, each sorted along its rows by one `np.sort`,
-    and the row kernels of :mod:`mixroc.roc` compute thresholds, TPR,
-    trapezoid AUC and Mann-Whitney AUC over the whole block, so each row
-    equals :func:`empirical_roc`, :func:`auc_trapezoid` and
+    and one call of `mixroc.roc._roc_rows` gives the block's grid TPR,
+    trapezoid AUCs and Mann-Whitney AUCs, each row equal to
+    :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
     index, so they do not depend on the block size. The M x grid matrix
     of replicate curves is returned as `replicate_matrix`. Replicate sizes
@@ -106,7 +103,6 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     grid = config.grid
     t = grid.points
     m = config.m
-    plan = _quantile_plan(n_x, 1.0 - t)
     block_rows = max(1, _BLOCK_SCORES // (n_x + n_y + grid.count))
     curves = np.empty((m, grid.count))
     aucs = np.empty(m)
@@ -117,10 +113,7 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
         rngs = [_stream(config.seed, l) for l in range(start, block.stop)]
         x = np.sort([sample_from(f_model, n_x, rng) for rng in rngs], axis=1)
         y = np.sort([sample_from(g_model, n_y, rng) for rng in rngs], axis=1)
-        tpr = _tpr_rows(y, _row_quantiles(x, plan), t)
-        curves[block] = tpr
-        aucs[block] = _trapezoid_rows(tpr, t)
-        mws[block] = _mann_whitney_rows(x, y)
+        curves[block], aucs[block], mws[block] = _roc_rows(x, y, t)
 
     mean_tpr = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1)

@@ -375,14 +375,19 @@ def survival_inverse(model: GmmModel, t):
     therefore accurate relative to min(t, 1 - t): to a few 1e-14 for t
     down to 1e-12 and to 1e-12 down to 1e-300 on well-conditioned mixtures;
     near a variance-floor spike it is limited by the spacing of floats in c.
+    A model whose bracket has an end or a width beyond the largest float is refused.
     """
     inside = (t > 0.0) & (t < 1.0)
     if not np.all(inside):
         raise ValueError(f"t must be inside (0, 1), got {t[~inside][0]}")
-    spread = model.sigmas[None, :] * ndtri(t)[:, None]
-    c_k = model.means[None, :] - spread
-    # a few ulps of the largest term in mu_k - sigma_k * z cover its rounding
-    pad = 4.0 * np.finfo(float).eps * np.max(np.abs(model.means) + np.abs(spread), axis=1)
+    with np.errstate(over="ignore"):  # an end or a width beyond the largest float is refused
+        spread = model.sigmas[None, :] * ndtri(t)[:, None]
+        c_k = model.means[None, :] - spread
+        # a few ulps of the largest term in mu_k - sigma_k * z cover its rounding
+        pad = 4.0 * np.finfo(float).eps * np.max(np.abs(model.means) + np.abs(spread), axis=1)
+        lo, hi = c_k.min(axis=1) - pad, c_k.max(axis=1) + pad
+        if not np.all(np.isfinite(hi - lo)):
+            raise ValueError("the model's root bracket leaves the float range; rescale the scores")
     upper = t > 0.5
     sign = np.where(upper, 1.0, -1.0)
     target = np.where(upper, np.log1p(-t), np.log(t))
@@ -392,7 +397,7 @@ def survival_inverse(model: GmmModel, t):
         # log CDF - log(1 - t) above
         return sign[at] * (_log_tail(model, c, sign[at]) - target[at])
 
-    return _chandrupatla(gap, c_k.min(axis=1) - pad, c_k.max(axis=1) + pad)
+    return _chandrupatla(gap, lo, hi)
 
 
 def sample_from(model: GmmModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:

@@ -9,10 +9,11 @@ can be compared pointwise. Two empirical constructions are provided:
   for which the trapezoidal area equals the midrank Mann-Whitney statistic.
 
 Row kernels over (rows, n) blocks of sorted scores do the curve and AUC
-arithmetic: the single-study functions are their one-row case, and
-:mod:`mixroc.ensemble` calls them on blocks of replicates. They count
-scores with `np.searchsorted`, row by row. The functional and binormal
-model curves pin their endpoints by one rule.
+arithmetic, and count scores with `np.searchsorted`, row by row. The
+single-study functions are their one-row case; `_roc_rows` composes them
+into one block's curves and AUCs, the one call :mod:`mixroc.ensemble`
+makes per block of replicates. The functional and binormal model curves
+pin their endpoints by one rule.
 """
 
 from __future__ import annotations
@@ -28,31 +29,22 @@ from .gmm import GmmModel, survival, survival_inverse
 _EDGE_TOL = 1e-9
 
 
-def _quantile_plan(n: int, q: NDArray[np.float64]):
-    """Gather indices and weights of `np.quantile(row, q, method="interpolated_inverted_cdf")`.
+def _row_quantiles(rows: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float64]:
+    """`np.quantile(row, q, method="interpolated_inverted_cdf")` of each sorted row.
 
-    They depend only on the row length, so one plan serves every row. The
-    weight gamma = n q - 1 - floor(n q - 1) lies in [0, 1), and the indices
-    floor(n q - 1) and the one after are clamped to the row. Where they are
-    clamped both name the same end, a = b, so :func:`_row_quantiles` gives
-    the per-row call's value there too (numpy weighs a = b by a gamma
-    outside [0, 1], which can differ only in the sign of a zero).
+    n q - 1 lies in [-1, n - 1], so its floor and the index after it are clamped to the row
+    by one bound each, and the weight gamma lies in [0, 1). Where an index is clamped both
+    name the same end, a = b, and the value is the per-row call's (numpy weighs a = b by a
+    gamma outside [0, 1], which can differ only in the sign of a zero). The lerp has numpy's
+    form, b - d(1-g) for g >= 0.5; where d = b - a overflows (a < 0 < b more than the largest
+    float apart), a(1-g) + b g, whose terms have opposite signs, keeps it finite.
     """
+    n = rows.shape[1]
     virtual = n * q - 1.0
-    lo = np.floor(virtual)
-    return (np.clip(lo, 0, n - 1).astype(np.intp), np.clip(lo + 1, 0, n - 1).astype(np.intp),
-            virtual - lo)
-
-
-def _row_quantiles(rows: NDArray[np.float64], plan) -> NDArray[np.float64]:
-    """Quantiles of each sorted row, with numpy's lerp form (b - d(1-g) for g >= 0.5).
-
-    Where d = b - a overflows (a < 0 < b more than the largest float apart),
-    a(1-g) + b g is used instead: its two terms have opposite signs, so it stays finite.
-    """
-    lo, hi, gamma = plan
-    a = rows[:, lo]
-    b = rows[:, hi]
+    lo = np.floor(virtual).astype(np.intp)
+    gamma = virtual - lo
+    a = rows[:, np.maximum(lo, 0)]
+    b = rows[:, np.minimum(lo + 1, n - 1)]
     # ignored: the overflow of d and the nan of its lerp (d = inf times gamma = 0), both
     # replaced below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -96,6 +88,13 @@ def _mann_whitney_rows(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArra
     n, m = x.shape[1], y.shape[1]
     twice_u = _count_le(x, y).sum(axis=1) + n * m - _count_le(y, x).sum(axis=1)
     return twice_u / 2.0 / (n * m)
+
+
+def _roc_rows(x: NDArray[np.float64], y: NDArray[np.float64], t: NDArray[np.float64]):
+    """Grid TPR, trapezoid AUC and Mann-Whitney AUC of each pair of sorted rows x and y:
+    row by row, :func:`empirical_roc`, :func:`auc_trapezoid` and :func:`auc_mann_whitney`."""
+    tpr = _tpr_rows(y, _row_quantiles(x, 1.0 - t), t)
+    return tpr, _trapezoid_rows(tpr, t), _mann_whitney_rows(x, y)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def empirical_roc(
     y = dataset.diseased.scores
     t = grid.points
     if interpolate:
-        c = _row_quantiles(x[None], _quantile_plan(x.size, 1.0 - t))[0]
+        c = _row_quantiles(x[None], 1.0 - t)[0]
     else:
         # c_t = inf{c : FP(c) <= t} directly by order statistic; the 1e-12
         # guard keeps t values that are exact multiples of 1/n from falling

@@ -201,7 +201,7 @@ class TestRowKernels:
     def test_quantiles(self, data_name, grid_name):
         x, _ = ROW_INPUTS[data_name]
         q = 1.0 - ROW_GRIDS[grid_name].points
-        got = roc._row_quantiles(x, roc._quantile_plan(x.shape[1], q))
+        got = roc._row_quantiles(x, q)
         want = [np.quantile(row, q, method="interpolated_inverted_cdf") for row in x]
         np.testing.assert_array_equal(got, want)
 
@@ -221,11 +221,11 @@ class TestRowKernels:
         x, y = ROW_INPUTS[data_name]
         grid = ROW_GRIDS[grid_name]
         t = grid.points
-        c = roc._row_quantiles(x, roc._quantile_plan(x.shape[1], 1.0 - t))
-        tpr = roc._tpr_rows(y, c, t)
+        tpr, aucs, mws = roc._roc_rows(x, y, t)
         want = [frozen_roc(xr, yr, t) for xr, yr in zip(x, y)]
         np.testing.assert_array_equal(tpr, want)
-        np.testing.assert_array_equal(roc._trapezoid_rows(tpr, t), [frozen_trapezoid(r, t) for r in want])
+        np.testing.assert_array_equal(aucs, [frozen_trapezoid(r, t) for r in want])
+        np.testing.assert_array_equal(mws, [frozen_mann_whitney(xr, yr) for xr, yr in zip(x, y)])
         for xr, yr, r in zip(x, y, want):
             study = from_arrays(xr, yr)
             curve = empirical_roc(study, grid)

@@ -29,8 +29,10 @@ from mixroc.gmm import (
     survival,
     survival_inverse,
 )
+from mixroc.roc import functional_roc
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "wieand_pancreatic.csv")
+TOP = np.finfo(float).max
 
 
 def sample_of(values):
@@ -518,6 +520,24 @@ class TestSurvivalInverse:
         # two bracket-end evaluations, then one per step: no cap stops the solve, it ends
         # once every bracket reaches float resolution in c, well inside this bound
         assert len(calls) < 200 + 2
+
+    @pytest.mark.parametrize("means", [[TOP], [-TOP, TOP], [-0.6 * TOP, 0.6 * TOP]],
+                             ids=["mean-at-max", "means-at-both-limits", "width-overflows"])
+    def test_bracket_beyond_float_range_refused(self, means):
+        # the last model's bracket ends are finite, but its width hi - lo overflows
+        model = GmmModel(np.full(len(means), 1.0 / len(means)), means, np.ones(len(means)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                survival_inverse(model, np.linspace(0.1, 0.9, 5))
+
+    def test_fit_at_float_limit_refused(self):
+        controls = select_k(sample_of(np.full(5, TOP)))
+        cases = select_k(ScoreSample(np.arange(1.0, 6.0), PopulationTag.DISEASED))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                functional_roc(controls, cases, make_uniform_grid(512))
 
     def test_matches_scipy_find_root(self, monkeypatch):
         # scipy's find_root, the solve the port replaced, on the same brackets and gap

@@ -12,7 +12,7 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
 - fits/...    `fit_em` models and traces, and `select_k` models, on a fixed input set: the
               Wieand populations at seeds 0-19, synthetic shapes at K 1-5 and four
               `max_iter` values, and hostile inputs (ties, n=2, a constant 1e200);
-- functional-roc  `functional_roc` on fixed models.
+- functional-roc  `functional_roc` on fixed models, and one model at the float limit.
 
 A library case's "files" are its calls, each hashed over the model or curve, every trace,
 the error and the warnings; the manifest also keeps each fit's K and parameters and each
@@ -280,6 +280,10 @@ def _library_cases(group: str, data: str):
                     yield (f"{f_name}-vs-{g_name}-{grid_name}",
                            lambda f=f_model, g=g_model, grid=grid:
                            mixroc.functional_roc(f, g, grid))
+        # outside the product: a bracket beyond the float range, refused
+        limit = mixroc.GmmModel([1.0], [np.finfo(float).max], [1.0])
+        yield ("float-limit-vs-unit-uniform",
+               lambda: mixroc.functional_roc(limit, models["unit"], grids["uniform"]))
 
 
 def main(argv=None) -> int:
