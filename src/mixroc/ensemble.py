@@ -1,9 +1,11 @@
 """Monte Carlo ensemble of replica ROC curves from fitted mixtures.
 
 Each replicate draws a synthetic study (one array per population) from the
-fitted mixtures. A block of replicates is sorted once per population, and
-one call of :mod:`mixroc.roc`'s block kernel gives each row's empirical
-ROC on the shared grid and its AUCs, as the single-study functions would.
+fitted mixtures: its stream fills its row of a block's uniforms and normals,
+and one array step per population maps the block to scores, which are
+sorted once. One call of :mod:`mixroc.roc`'s block kernel gives each row's
+empirical ROC on the shared grid and its AUCs, as the single-study
+functions would.
 The ensemble mean is the curve estimate; per-point standard errors give a
 mean confidence band, pointwise quantiles an envelope band. Replicate l
 draws from the stream (l,) of the master seed. Blocks are reduced with
@@ -20,15 +22,17 @@ from numpy.typing import NDArray
 from scipy.special import ndtri
 
 from .datasets import FprGrid, LabeledDataset, make_uniform_grid
-from .gmm import EmConfig, GmmModel, _check_seed, _stream, sample_from, select_k
+from .gmm import EmConfig, GmmModel, _check_seed, _mixture_draws, _stream, select_k
 
 from .roc import RocCurveGrid, _roc_rows, auc_trapezoid
 # importable here only because benchmarks/tracing.py wraps them on this module
+from .gmm import sample_from  # noqa: F401
 from .roc import auc_mann_whitney, empirical_roc  # noqa: F401
 
-# values per block of replicates, where a block row holds at most
-# n_x + n_y + grid count of them: keeps the working memory of run_mg small
-# whatever M is (6 rows at n_x = n_y = 1000 on the default 512-point grid)
+# values per block of replicates, where a block row holds n_x + n_y scores
+# (each drawn from one uniform and one normal) and a grid count of TPR values:
+# keeps the working memory of run_mg small whatever M is (6 rows at
+# n_x = n_y = 1000 on the default 512-point grid)
 _BLOCK_SCORES = 2**14
 
 
@@ -86,9 +90,12 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     """Generate and average the ensemble of replica ROC curves.
 
     Replicate l draws its two samples from the stream (l,) of the master
-    seed. Replicates are processed in blocks of rows: the draws of a block
-    fill two score matrices, each sorted along its rows by one `np.sort`,
-    and one call of `mixroc.roc._roc_rows` gives the block's grid TPR,
+    seed. Replicates are processed in blocks of rows: each stream fills its
+    row of the block's uniforms and normals in :func:`sample_from`'s draw
+    order (x's uniforms, x's normals, y's uniforms, y's normals), one
+    `gmm._mixture_draws` call per population maps the block to two score
+    matrices, each sorted along its rows in place, and one call of
+    `mixroc.roc._roc_rows` gives the block's grid TPR,
     trapezoid AUCs and Mann-Whitney AUCs, each row equal to
     :func:`empirical_roc`, :func:`auc_trapezoid` and
     :func:`auc_mann_whitney` on that replicate. Results are stored by
@@ -107,12 +114,21 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     curves = np.empty((m, grid.count))
     aucs = np.empty(m)
     mws = np.empty(m)
+    u_x, z_x = np.empty((2, block_rows, n_x))
+    u_y, z_y = np.empty((2, block_rows, n_y))
     for start in range(0, m, block_rows):
         block = slice(start, min(start + block_rows, m))
-        # each replicate's stream draws its x sample before its y sample
-        rngs = [_stream(config.seed, l) for l in range(start, block.stop)]
-        x = np.sort([sample_from(f_model, n_x, rng) for rng in rngs], axis=1)
-        y = np.sort([sample_from(g_model, n_y, rng) for rng in rngs], axis=1)
+        rows = block.stop - start
+        for i in range(rows):  # in sample_from's order, x before y
+            rng = _stream(config.seed, start + i)
+            rng.random(out=u_x[i])
+            rng.standard_normal(out=z_x[i])
+            rng.random(out=u_y[i])
+            rng.standard_normal(out=z_y[i])
+        x = _mixture_draws(f_model, u_x[:rows], z_x[:rows])
+        y = _mixture_draws(g_model, u_y[:rows], z_y[:rows])
+        x.sort(axis=1)
+        y.sort(axis=1)
         curves[block], aucs[block], mws[block] = _roc_rows(x, y, t)
 
     mean_tpr = curves.mean(axis=0)
@@ -121,8 +137,11 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     half = z * se / np.sqrt(m)
     ci_lower = np.clip(mean_tpr - half, 0.0, 1.0)
     ci_upper = np.clip(mean_tpr + half, 0.0, 1.0)
+    # each grid point's replicates as one contiguous row, partitioned in place:
+    # the copy np.quantile would make anyway, laid out for speed
     env_lower, env_upper = np.quantile(
-        curves, [config.alpha / 2.0, 1.0 - config.alpha / 2.0], axis=0
+        curves.T.copy(), [config.alpha / 2.0, 1.0 - config.alpha / 2.0], axis=1,
+        overwrite_input=True,
     )
     # at grid points where more than 1-alpha/2 of the replicates saturate at
     # 0 or 1, the raw quantile can cross the mean; widen minimally so the

@@ -400,10 +400,21 @@ def survival_inverse(model: GmmModel, t):
     return _chandrupatla(gap, lo, hi)
 
 
-def sample_from(model: GmmModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
-    """Draw n scores, unsorted in draw order: component from categorical(weights), then normal.
+def _mixture_draws(model: GmmModel, u: NDArray[np.float64], z: NDArray[np.float64]):
+    """Mixture scores from uniforms u and standard normals z of one shape: the component
+    #{j < k-1 : cdf_j <= u}, on the cdf normalised as `Generator.choice` normalises it."""
+    cdf = model.weights.cumsum()
+    cdf /= cdf[-1]
+    comp = np.zeros(u.shape, dtype=np.intp)
+    for c in cdf[:-1]:
+        comp += u >= c
+    return model.means[comp] + model.sigmas[comp] * z
 
-    Deterministic given the generator state; the caller owns the stream.
+
+def sample_from(model: GmmModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
+    """Draw n scores, unsorted in draw order: n uniforms pick the components, then n normals.
+
+    Deterministic given the generator state; the caller owns the stream. Bit for bit
+    `choice(k, n, p=weights)`, then `standard_normal(n)`.
     """
-    comp = rng.choice(model.k, size=n, p=model.weights)
-    return model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)
+    return _mixture_draws(model, rng.random(n), rng.standard_normal(n))

@@ -13,7 +13,7 @@ from mixroc.datasets import (
     make_uniform_grid,
 )
 from mixroc.ensemble import MgConfig, mg_pipeline, run_mg
-from mixroc.gmm import EmConfig, GmmModel, sample_from, survival, survival_inverse
+from mixroc.gmm import EmConfig, GmmModel, survival, survival_inverse
 from mixroc.roc import RocCurveGrid, auc_mann_whitney, auc_trapezoid, empirical_roc
 
 GRID = make_uniform_grid(512)
@@ -241,10 +241,21 @@ class TestRowKernels:
         assert [auc_mann_whitney(from_arrays(xr, yr)) for xr, yr in zip(x, y)] == want
 
 
-def test_run_mg_matches_per_replicate_loop():
+def frozen_sample(model, n, rng):
+    """The per-replicate draw run_mg replaced: n categorical components, then n normals."""
+    comp = rng.choice(model.k, size=n, p=model.weights)
+    return model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("f, g", [
+    (GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.5, 0.3]),
+     GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])),
+    # K=1 still spends n uniforms in choice; a weight of one observation in 90
+    (F_STD, GmmModel([1 / 90, 0.3, 0.2, 0.2, 0.3 - 1 / 90], [0.5, 1.0, 2.0, 3.0, 4.0],
+                     [0.04, 1.0, 0.25, 0.09, 1.0])),
+], ids=["k3-vs-k2", "k1-vs-k5"])
+def test_run_mg_matches_per_replicate_loop(f, g):
     """run_mg against the per-replicate loop it replaced, kept here frozen."""
-    f = GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
-    g = GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])
     grid = ROW_GRIDS["no-endpoints"]
     config = MgConfig(m=37, seed=21, grid=grid, replicate_n_x=51, replicate_n_y=90, alpha=0.1)
 
@@ -253,8 +264,8 @@ def test_run_mg_matches_per_replicate_loop():
     mws = np.empty(config.m)
     for l, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.m)):
         rng = np.random.default_rng(child)
-        xs = np.sort(sample_from(f, config.replicate_n_x, rng))
-        ys = np.sort(sample_from(g, config.replicate_n_y, rng))
+        xs = np.sort(frozen_sample(f, config.replicate_n_x, rng))
+        ys = np.sort(frozen_sample(g, config.replicate_n_y, rng))
         curves[l] = frozen_roc(xs, ys, grid.points)
         aucs[l] = frozen_trapezoid(curves[l], grid.points)
         mws[l] = frozen_mann_whitney(xs, ys)

@@ -588,7 +588,61 @@ class TestSurvivalInverse:
             assert np.all(np.diff(survival_inverse(random_mixture(rng), t)) < 0.0)
 
 
+def frozen_sample(model, n, rng):
+    """The categorical draw sample_from replaced: `choice` picks the components, then normals."""
+    comp = rng.choice(model.k, size=n, p=model.weights)
+    return model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)
+
+
+def edge_models():
+    """Weights where the component rule shows: each is placed on a uniform that seed 0 draws
+    among its first 1000, or carries a weight of one observation in 90."""
+    u = np.random.default_rng(0).random(1000)
+    top = u[u >= 0.5][0]  # 1 - top is exact, so [top, 1 - top] sums to exactly 1
+    low = top * (1.0 - 2e-13)  # low < top, but low / (1 - 5e-13) > top
+    five = ([0.5, 1.0, 2.0, 3.0, 4.0], [0.04, 1.0, 0.25, 0.09, 1.0])
+    return {
+        "one-in-90": GmmModel([1 / 90, 0.3, 0.2, 0.2, 0.3 - 1 / 90], *five),
+        "sum-below-one": GmmModel(np.array([0.1, 0.2, 0.3, 0.15, 0.25]) * (1.0 - 5e-13), *five),
+        "uniform-on-cdf": GmmModel([top, 1.0 - top], [-1.0, 1.0], [1.0, 1.0]),
+        "uniform-under-normalised-cdf": GmmModel([low, 1.0 - 5e-13 - low], [-1.0, 1.0],
+                                                 [1.0, 1.0]),
+    }
+
+
+EDGE_MODELS = edge_models()
+
+
 class TestSampleFrom:
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_equals_categorical_draw(self, k, n):
+        rng = np.random.default_rng(k)
+        model = GmmModel(rng.dirichlet(np.ones(k)), 3.0 * np.arange(k), rng.uniform(0.5, 2.0, k))
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        np.testing.assert_array_equal(sample_from(model, n, a), frozen_sample(model, n, b))
+        assert a.random() == b.random()  # both spend the same draws
+
+    @pytest.mark.parametrize("name", EDGE_MODELS)
+    def test_equals_categorical_draw_on_edge_weights(self, name):
+        model = EDGE_MODELS[name]
+        np.testing.assert_array_equal(sample_from(model, 1000, np.random.default_rng(0)),
+                                      frozen_sample(model, 1000, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("name", EDGE_MODELS)
+    def test_block_equals_row_draws(self, name):
+        model = EDGE_MODELS[name]
+        u, z = np.empty((2, 4, 1000))
+        for row in range(4):
+            rng = np.random.default_rng(row)
+            rng.random(out=u[row])
+            rng.standard_normal(out=z[row])
+        block = gmm._mixture_draws(model, u, z)
+        for row in range(4):
+            np.testing.assert_array_equal(block[row], gmm._mixture_draws(model, u[row], z[row]))
+            np.testing.assert_array_equal(
+                block[row], frozen_sample(model, 1000, np.random.default_rng(row)))
+
     def test_deterministic_given_stream(self):
         model = GmmModel([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
         a = sample_from(model, 100, np.random.default_rng(4))

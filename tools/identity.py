@@ -12,17 +12,18 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
 - fits/...    `fit_em` models and traces, and `select_k` models, on a fixed input set: the
               Wieand populations at seeds 0-19, synthetic shapes at K 1-5 and four
               `max_iter` values, and hostile inputs (ties, n=2, a constant 1e200);
-- functional-roc  `functional_roc` on fixed models, and one model at the float limit.
+- functional-roc  `functional_roc` on fixed models, and one model at the float limit;
+- ensemble    `run_mg` and `sample_from` on fixed models, at three sizes and both grids.
 
-A library case's "files" are its calls, each hashed over the model or curve, every trace,
-the error and the warnings; the manifest also keeps each fit's K and parameters and each
-curve's R(t) values. `manifest` exits 1 when a case exits non-zero. `diff` lists the cases
-and files that differ, and the library groups that failed on either side, whose fits it could
-not compare; for fits it adds the K changes and the largest relative moves of means, variances
-and log-likelihoods, and for `functional-roc` the largest absolute move of R(t). A mean's move
-is relative to max(|mu_A|, |mu_B|, sigma_A) of its component, so a mean at 0 is judged against
-its component's spread; the others are relative to max(|A|, |B|). It exits 1 when it
-lists anything, else 0. A tree of the parent commit to compare with comes from
+A library case's "files" are its calls, each hashed over the model, curve, ensemble or draws,
+every trace, the error and the warnings; the manifest also keeps each fit's K and parameters
+and each curve's R(t) values. `manifest` exits 1 when a case exits non-zero. `diff` lists the
+cases and files that differ, and the library groups that failed on either side, whose fits it
+could not compare; for fits it adds the K changes and the largest relative moves of means,
+variances and log-likelihoods, and for `functional-roc` the largest absolute move of R(t). A
+mean's move is relative to max(|mu_A|, |mu_B|, sigma_A) of its component, so a mean at 0 is
+judged against its component's spread; the others are relative to max(|A|, |B|). It exits 1
+when it lists anything, else 0. A tree of the parent commit to compare with comes from
 `git worktree add /tmp/parent HEAD~1`.
 """
 
@@ -46,7 +47,7 @@ import scipy
 CLI_FLAGS = ["--plots", "--reproducible", "--pauc", "0:0.1", "--dump-replicates"]
 TOOL = str(Path(__file__).resolve())
 LIBRARY_GROUPS = ("fits/wieand", "fits/synthetic", "fits/hostile", "fits/select-k",
-                  "functional-roc")
+                  "functional-roc", "ensemble")
 TWO_FILE_INPUTS = {  # 40 controls and 35 cases, rounded so the text is fixed
     "non_diseased.txt": "".join(f"{math.sin(i) * 3 + 10:.3f}\n" for i in range(40)),
     "diseased.txt": "".join(f"{math.cos(i) * 4 + 13 + (i % 7 == 0) * 9:.3f}\n"
@@ -182,7 +183,7 @@ def _record(call) -> dict:
     """Run call() once and hash its result, error and warnings; keep a fit's K and parameters
     and a curve's R(t) values.
 
-    call() returns a model, a (model, traces) pair or a curve.
+    call() returns a model, a (model, traces) pair, a curve, an ensemble or an array of draws.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -196,6 +197,11 @@ def _record(call) -> dict:
         out["error"] = kept["error"] = f"{type(result).__name__}: {result}"
     elif hasattr(result, "tpr"):
         out["tpr"] = kept["tpr"] = result.tpr.tolist()
+    elif isinstance(result, np.ndarray):
+        out["draws"] = sha256(result.tobytes())
+    elif hasattr(result, "replicate_matrix"):  # every field of an ensemble, by its bytes
+        out.update({name: sha256(np.asarray(getattr(value, "tpr", value)).tobytes())
+                    for name, value in vars(result).items()})
     else:
         model, out["traces"] = result if isinstance(result, tuple) else (result, None)
         kept = {"k": model.k, "weights": model.weights.tolist(), "means": model.means.tolist(),
@@ -284,6 +290,29 @@ def _library_cases(group: str, data: str):
         limit = mixroc.GmmModel([1.0], [np.finfo(float).max], [1.0])
         yield ("float-limit-vs-unit-uniform",
                lambda: mixroc.functional_roc(limit, models["unit"], grids["uniform"]))
+    if group == "ensemble":
+        models = {
+            "k1": mixroc.GmmModel([1.0], [0.0], [1.0]),
+            "k3": mixroc.GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.25, 0.09]),
+            "k4": mixroc.GmmModel([0.4, 0.3, 0.2, 0.1], [1.0, 2.5, 4.0, 8.0],
+                                  [1.0, 0.25, 0.09, 4.0]),
+            "k5": mixroc.GmmModel([1 / 90, 0.3, 0.2, 0.2, 0.3 - 1 / 90], [0.5, 1.0, 2.0, 3.0, 4.0],
+                                  [0.04, 1.0, 0.25, 0.09, 1.0]),
+        }
+        for f_name, g_name, m, n_x, n_y, grid in (
+                ("k3", "k4", 50, 1000, 1000, mixroc.make_uniform_grid(512)),
+                ("k1", "k5", 400, 150, 150, mixroc.make_refined_grid()),
+                ("k3", "k4", 7, 3, 2, mixroc.make_uniform_grid(512))):
+            config = mixroc.MgConfig(m=m, replicate_n_x=n_x, replicate_n_y=n_y, grid=grid,
+                                     seed=m)
+            yield (f"run-mg-{f_name}-vs-{g_name}-m{m}-n{n_x}x{n_y}-{grid.count}",
+                   lambda f=models[f_name], g=models[g_name], config=config:
+                   mixroc.run_mg(f, g, config))
+        for name, model in models.items():
+            for n in (1, 2, 1000):
+                yield (f"sample-from-{name}-n{n}",
+                       lambda model=model, n=n: mixroc.sample_from(model, n,
+                                                                   np.random.default_rng(n)))
 
 
 def main(argv=None) -> int:
