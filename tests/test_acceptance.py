@@ -291,6 +291,12 @@ def test_mc_determinism_and_ci_shrinkage(monkeypatch):
         monkeypatch.setattr(ensemble, "_BLOCK_SCORES", rows * (100 + 100 + GRID.count))
         blocked.append(run_mg(f, g, MgConfig(m=1000, **base)))
     monkeypatch.undo()
+    for workers in (2, 3):
+        # every replicate size in shares on worker threads, whatever the machine's CPUs
+        monkeypatch.setattr(ensemble, "_THREAD_SCORES", 0)
+        monkeypatch.setattr(ensemble, "_cpus", lambda workers=workers: workers)
+        blocked.append(run_mg(f, g, MgConfig(m=1000, **base)))
+    monkeypatch.undo()
     identical = all(
         np.array_equal(getattr(r1a, name), getattr(other, name))
         for other in (r1b, *blocked)
@@ -306,7 +312,8 @@ def test_mc_determinism_and_ci_shrinkage(monkeypatch):
     announce(
         7,
         ok,
-        f"bit-identical reruns and runs in blocks of 1, 7 and M replicates: {identical}; "
+        f"bit-identical reruns, runs in blocks of 1, 7 and M replicates and on 2 and 3 "
+        f"workers: {identical}; "
         f"CI width ratio M=1000/M=4000 = {ratio:.3f} in [1.8, 2.2]",
     )
 

@@ -1,5 +1,8 @@
 """Monte Carlo ensemble engine: averaging, bands, determinism."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -132,6 +135,105 @@ class TestRunMg:
         r4 = run_mg(F_STD, G_SHIFT3, MgConfig(m=4000, **base))
         ratio = np.mean(r1.ci_upper - r1.ci_lower) / np.mean(r4.ci_upper - r4.ci_lower)
         assert 1.8 <= ratio <= 2.2
+
+
+def assert_same_result(a, b):
+    """Every field of two ensemble results equal bit for bit."""
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        np.testing.assert_array_equal(getattr(value, "tpr", value), getattr(other, "tpr", other))
+
+
+def on_workers(monkeypatch, cpus, threshold=0):
+    """Give run_mg `cpus` CPUs and a replicate-size threshold; return the worker count of
+    each thread pool it starts from then on."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(ensemble, "_cpus", lambda: cpus)
+    monkeypatch.setattr(ensemble, "_THREAD_SCORES", threshold)
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+class TestWorkers:
+    """run_mg's shares of replicates on worker threads: the same bits for any worker count,
+    no thread for small replicates, failures that propagate and leave no worker behind."""
+
+    def test_deterministic_across_worker_counts(self, monkeypatch):
+        serial = run_mg(F_STD, G_SHIFT3, small_config())
+        for rows in (51, 7):  # 51 is the default: 4 blocks of M=200; 7 gives 29 blocks
+            monkeypatch.setattr(ensemble, "_BLOCK_SCORES", rows * (60 + 60 + GRID.count))
+            for cpus in (1, 2, 3, 64):  # 64: more CPUs than blocks
+                pools = on_workers(monkeypatch, cpus)
+                assert_same_result(serial, run_mg(F_STD, G_SHIFT3, small_config()))
+                assert pools == ([min(cpus, -(-200 // rows))] if cpus > 1 else [])
+
+    @pytest.mark.parametrize("m, n_x, n_y", [(1000, 51, 90), (400, 150, 150)],
+                             ids=["wieand-cli", "sim-sweep"])
+    def test_small_replicates_start_no_thread(self, monkeypatch, m, n_x, n_y):
+        def no_pool(workers):
+            raise AssertionError("run_mg started a thread pool")
+
+        monkeypatch.setattr(ensemble, "_cpus", lambda: 8)
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", no_pool)
+        run_mg(F_STD, G_SHIFT3, small_config(m=m, replicate_n_x=n_x, replicate_n_y=n_y))
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_threshold(self, monkeypatch, below):
+        scores = ensemble._THREAD_SCORES - below
+        config = small_config(m=30, replicate_n_x=scores // 2, replicate_n_y=scores - scores // 2)
+        serial = run_mg(F_STD, G_SHIFT3, config)
+        pools = on_workers(monkeypatch, 2, threshold=ensemble._THREAD_SCORES)
+        assert_same_result(serial, run_mg(F_STD, G_SHIFT3, config))
+        assert pools == ([] if below else [2])  # 2 blocks at the threshold of 1000 scores
+
+    def test_failure_in_one_share_propagates(self, monkeypatch):
+        on_workers(monkeypatch, 2)  # shares of replicates [0, 102) and [102, 200)
+        stream = ensemble._stream
+
+        def failing(seed, l):
+            if l == 150:
+                raise RuntimeError("replicate 150")
+            return stream(seed, l)
+
+        monkeypatch.setattr(ensemble, "_stream", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="replicate 150"):
+            run_mg(F_STD, G_SHIFT3, small_config())
+        assert threading.active_count() == before
+
+    def test_concurrent_calls(self, monkeypatch):
+        configs = [small_config(seed=1), small_config(m=150, seed=2)]
+        serial = [run_mg(F_STD, G_SHIFT3, config) for config in configs]
+        on_workers(monkeypatch, 2)
+        start = threading.Barrier(2)
+
+        def call(config):
+            start.wait()
+            return run_mg(F_STD, G_SHIFT3, config)
+
+        with ThreadPoolExecutor(2) as callers:
+            for want, got in zip(serial, callers.map(call, configs)):
+                assert_same_result(want, got)
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        on_workers(monkeypatch, 2)
+        roc_rows = ensemble._roc_rows
+        seen = []
+
+        def recording(x, y, t):
+            seen.append(np.geterr()["over"])
+            return roc_rows(x, y, t)
+
+        monkeypatch.setattr(ensemble, "_roc_rows", recording)
+        with np.errstate(over="raise"):
+            run_mg(F_STD, G_SHIFT3, small_config())
+        assert seen == ["raise"] * 4
 
 
 def tied_rows(rows, n_x, n_y, seed):

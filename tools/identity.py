@@ -13,7 +13,7 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
               Wieand populations at seeds 0-19, synthetic shapes at K 1-5 and four
               `max_iter` values, and hostile inputs (ties, n=2, a constant 1e200);
 - functional-roc  `functional_roc` on fixed models, and one model at the float limit;
-- ensemble    `run_mg` and `sample_from` on fixed models, at three sizes and both grids.
+- ensemble    `run_mg` and `sample_from` on fixed models, at four sizes and both grids.
 
 A library case's "files" are its calls, each hashed over the model, curve, ensemble or draws,
 every trace, the error and the warnings; the manifest also keeps each fit's K and parameters
@@ -301,6 +301,8 @@ def _library_cases(group: str, data: str):
         }
         for f_name, g_name, m, n_x, n_y, grid in (
                 ("k3", "k4", 50, 1000, 1000, mixroc.make_uniform_grid(512)),
+                # 47 blocks, in shares on worker threads wherever the process may use 2+ CPUs
+                ("k3", "k4", 600, 1000, 1000, mixroc.make_uniform_grid(512)),
                 ("k1", "k5", 400, 150, 150, mixroc.make_refined_grid()),
                 ("k3", "k4", 7, 3, 2, mixroc.make_uniform_grid(512))):
             config = mixroc.MgConfig(m=m, replicate_n_x=n_x, replicate_n_y=n_y, grid=grid,
