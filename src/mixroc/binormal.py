@@ -2,18 +2,27 @@
 
 One Gaussian per population, fitted by moments with no transformation:
 curve R(t) = Phi(a + b Phi^{-1}(t)), closed-form area Phi(a / sqrt(1+b^2)),
-with a = (mu_D - mu_N) / sigma_D and b = sigma_N / sigma_D.
+with a = (mu_D - mu_N) / sigma_D and b = sigma_N / sigma_D. Phi and
+Phi^{-1} come from the standard library (`math.erfc`, and
+`statistics.NormalDist.inv_cdf`, Wichura's AS241), applied elementwise,
+so the baseline needs no `scipy.special`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .datasets import FprGrid, LabeledDataset, _check_fit_range
 from .roc import RocCurveGrid, _pinned_curve
+
+_SQRT2 = math.sqrt(2.0)
+# Phi(x) = erfc(-x / sqrt 2) / 2 and Phi^{-1}, elementwise; each call returns an object array
+_ndtr = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / _SQRT2), 1, 1)
+_ndtri = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -61,9 +70,10 @@ def fit_binormal(dataset: LabeledDataset) -> BinormalParams:
 
 def binormal_curve(params: BinormalParams, grid: FprGrid) -> RocCurveGrid:
     """R(t) = Phi(a + b Phi^{-1}(t)) on the grid, endpoints pinned to (0,0), (1,1)."""
-    return _pinned_curve(grid, lambda t: ndtr(params.a + params.b * ndtri(t)))
+    return _pinned_curve(
+        grid, lambda t: _ndtr(params.a + params.b * _ndtri(t).astype(float)).astype(float))
 
 
 def binormal_auc(params: BinormalParams) -> float:
     """Closed-form area Phi(a / sqrt(1 + b^2))."""
-    return float(ndtr(params.a / np.sqrt(1.0 + params.b * params.b)))
+    return float(_ndtr(params.a / np.sqrt(1.0 + params.b * params.b)))

@@ -23,10 +23,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtri
 
 from .datasets import FprGrid, LabeledDataset, make_uniform_grid
 from .gmm import EmConfig, GmmModel, _check_seed, _mixture_draws, _stream, select_k
@@ -171,7 +171,7 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
 
     mean_tpr = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1)
-    z = ndtri(1.0 - config.alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - config.alpha / 2.0)
     half = z * se / np.sqrt(m)
     ci_lower = np.clip(mean_tpr - half, 0.0, 1.0)
     ci_upper = np.clip(mean_tpr + half, 0.0, 1.0)

@@ -3,7 +3,10 @@
 EM estimation with deterministic-given-seed restarts, BIC model-order
 selection, density/survival evaluation, survival inversion and random
 sampling. The likelihood of a univariate mixture is unbounded, so every
-variance is clamped to a floor derived from the data range.
+variance is clamped to a floor derived from the data range. The tail
+functions (`survival`, `survival_inverse`, and so `functional_roc`) take
+log Phi and Phi^{-1} from `scipy.special`, imported at their first call,
+so fitting and sampling load no `scipy.special`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import log_ndtr, ndtri
 
 from .datasets import PopulationTag, ScoreSample, _check_fit_range
 
@@ -321,6 +323,8 @@ def _log_tail(model: GmmModel, c: NDArray[np.float64], sign) -> NDArray[np.float
     `sign` is a scalar or a row with one entry per point of c. Phi(-z) = Q(z),
     so both tails come from log Phi with full relative accuracy however small they are.
     """
+    from scipy.special import log_ndtr  # the tail functions alone pay scipy.special's import
+
     z = (c - model.means[:, None]) / model.sigmas[:, None]
     return _log_sum_exp(log_ndtr(sign * z) + np.log(model.weights)[:, None])
 
@@ -377,6 +381,8 @@ def survival_inverse(model: GmmModel, t):
     near a variance-floor spike it is limited by the spacing of floats in c.
     A model whose bracket has an end or a width beyond the largest float is refused.
     """
+    from scipy.special import ndtri  # the bracket's pad covers ndtri's rounding, not AS241's
+
     inside = (t > 0.0) & (t < 1.0)
     if not np.all(inside):
         raise ValueError(f"t must be inside (0, 1), got {t[~inside][0]}")

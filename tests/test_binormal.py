@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from mixroc.binormal import BinormalParams, binormal_auc, binormal_curve, fit_binormal
+from mixroc.binormal import (
+    BinormalParams, _ndtr, _ndtri, binormal_auc, binormal_curve, fit_binormal,
+)
 from mixroc.datasets import (
     DatasetError, from_arrays, load_dataset, make_refined_grid, make_uniform_grid,
 )
@@ -109,3 +111,48 @@ class TestClosedFormAuc:
                 closed = binormal_auc(params)
                 quad = auc_trapezoid(binormal_curve(params, grid))
                 assert quad == pytest.approx(closed, abs=1e-4), (a, b)
+
+
+def ulps(got, ref):
+    """|got - ref| in units of the spacing of floats at ref."""
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestNormalFunctions:
+    """The standard library's Phi and Phi^{-1} against scipy.special, the oracle in tests only."""
+
+    def test_phi_relative_error(self):
+        # bound: 1e-12 relative on [-37, 8] wherever scipy's value is at least 1e-300
+        x = np.linspace(-37.0, 8.0, 45001)
+        ref = ndtr(x)
+        kept = ref >= 1e-300
+        np.testing.assert_allclose(_ndtr(x[kept]).astype(float), ref[kept], rtol=1e-12, atol=0)
+        assert _ndtr(0.0) == 0.5
+
+    @pytest.mark.parametrize("p", [
+        np.geomspace(1e-300, 0.5, 3001),
+        1.0 - np.geomspace(1e-16, 0.5, 3001),
+        np.linspace(1e-3, 1.0 - 1e-3, 3001),
+    ], ids=["lower-ladder", "upper-ladder", "middle"])
+    def test_phi_inverse_ulps(self, p):
+        # bound: 8 ulps of scipy's ndtri
+        ref = ndtri(p)
+        assert ulps(_ndtri(p).astype(float), ref).max() <= 8
+
+    @pytest.mark.parametrize("grid", [make_uniform_grid(), make_refined_grid()],
+                             ids=["uniform", "refined"])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 0.4), (0.3, 3.0), (-1.2, 2.5)])
+    def test_curve_matches_scipy(self, a, b, grid):
+        # bound: 1e-12 relative to ndtr(a + b ndtri(t)) at every interior point
+        t = grid.points
+        inside = (t > 0.0) & (t < 1.0)
+        tpr = binormal_curve(BinormalParams(a, b, 0.0, b, a, 1.0), grid).tpr
+        np.testing.assert_allclose(tpr[inside], ndtr(a + b * ndtri(t[inside])), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(tpr[~inside], (t[~inside] >= 1.0).astype(float))
+
+    def test_grid_without_interior_points(self):
+        params = BinormalParams(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+        tpr = binormal_curve(params, make_uniform_grid(2)).tpr
+        assert tpr.dtype == np.float64
+        np.testing.assert_array_equal(tpr, [0.0, 1.0])
+        assert type(binormal_auc(params)) is float

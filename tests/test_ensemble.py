@@ -2,6 +2,7 @@
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -349,6 +350,14 @@ def frozen_sample(model, n, rng):
     return model.means[comp] + model.sigmas[comp] * rng.standard_normal(n)
 
 
+def test_band_z_matches_scipy_ndtri():
+    # run_mg's z, the standard library's Phi^{-1}(1 - alpha / 2): bound 8 ulps of scipy's ndtri
+    alpha = np.concatenate([np.geomspace(1e-15, 0.49, 300), np.linspace(1e-3, 0.499, 499)])
+    ref = ndtri(1.0 - alpha / 2.0)
+    z = np.array([NormalDist().inv_cdf(1.0 - a / 2.0) for a in alpha])
+    assert np.all(np.abs(z - ref) <= 8 * np.spacing(ref))
+
+
 @pytest.mark.parametrize("f, g", [
     (GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.5, 0.3]),
      GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])),
@@ -373,7 +382,7 @@ def test_run_mg_matches_per_replicate_loop(f, g):
         mws[l] = frozen_mann_whitney(xs, ys)
     mean_tpr = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1)
-    half = ndtri(1.0 - config.alpha / 2.0) * se / np.sqrt(config.m)
+    half = NormalDist().inv_cdf(1.0 - config.alpha / 2.0) * se / np.sqrt(config.m)
     env_lower, env_upper = np.quantile(curves, [config.alpha / 2.0, 1.0 - config.alpha / 2.0], axis=0)
 
     res = run_mg(f, g, config)
