@@ -1,9 +1,10 @@
 """Command-line front end.
 
 `analyse` runs the selected estimators on one shared FPR grid for a
-study in memory. `_render` turns its results into the text of every
-output file: a report (json, csv or text table), per-curve CSVs, fitted
-model JSONs, optional SVG plots and an optional replicate-matrix dump.
+study in memory; `_ESTIMATORS` is the one place an estimator's analysis
+lives. `_render` turns the results into the text of every output file:
+a report (json, csv or text table), per-curve CSVs, fitted model JSONs,
+optional SVG plots and an optional replicate-matrix dump.
 `run` loads a study, analyses it, renders it and only then writes.
 
 Exit statuses: 0 success, 2 input/validation error, 4 I/O error.
@@ -125,6 +126,48 @@ def run(config: RunConfig) -> Report:
     return report
 
 
+def _empirical(dataset, config):
+    curve = empirical_roc(dataset, config.mg.grid)
+    entry = {"auc_trapezoidal": auc_trapezoid(curve), "auc_mann_whitney": auc_mann_whitney(dataset)}
+    return entry, curve, None
+
+
+def _binormal(dataset, config):
+    params = fit_binormal(dataset)
+    curve = binormal_curve(params, config.mg.grid)
+    auc = binormal_auc(params)
+    entry = {
+        "auc_trapezoidal": auc_trapezoid(curve),
+        "auc_closed_form": auc,
+        "auc_mann_whitney": auc,
+        "mann_whitney_is_closed_form": True,
+        "params": asdict(params),
+    }
+    return entry, curve, None
+
+
+def _mg(dataset, config):
+    f_model, g_model, result = mg_pipeline(dataset, config.em, config.mg)
+    entry = {
+        "auc_trapezoidal": result.auc_mean,
+        "auc_mann_whitney": result.auc_mann_whitney_mean,
+        "auc_se": result.auc_se,
+        "k_non_diseased": f_model.k,
+        "k_diseased": g_model.k,
+        "models": {"non_diseased": f_model.to_json_dict(), "diseased": g_model.to_json_dict()},
+        "bands": {
+            "alpha": config.mg.alpha,
+            "mean_ci_avg_width": float(np.mean(result.ci_upper - result.ci_lower)),
+            "envelope_avg_width": float(np.mean(result.env_upper - result.env_lower)),
+        },
+    }
+    return entry, result.mean_curve, result
+
+
+# name -> (dataset, config) -> (entry, curve, ensemble or None); keys = report.ESTIMATORS, in order
+_ESTIMATORS = {"empirical": _empirical, "binormal": _binormal, "mg": _mg}
+
+
 def analyse(
     dataset: LabeledDataset, config: RunConfig
 ) -> tuple[Report, dict[str, RocCurveGrid], MgEnsembleResult | None]:
@@ -133,59 +176,23 @@ def analyse(
     Reads only `estimators`, `em`, `mg`, `pauc_intervals` and
     `reproducible` of the config. Returns the report, each estimator's
     curve on the `mg.grid` and the ensemble result (None without "mg").
+    Entries and curves follow `report.ESTIMATORS`, not the selection's order.
     """
-    grid = config.mg.grid
-
     curves: dict[str, RocCurveGrid] = {}
     estimators: dict[str, dict] = {}
-    mg_result: MgEnsembleResult | None = None
+    results: dict[str, MgEnsembleResult | None] = {}
+    for name, estimate in _ESTIMATORS.items():
+        if name in config.estimators:
+            estimators[name], curves[name], results[name] = estimate(dataset, config)
 
-    if "empirical" in config.estimators:
-        curve = empirical_roc(dataset, grid)
-        curves["empirical"] = curve
-        estimators["empirical"] = {
-            "auc_trapezoidal": auc_trapezoid(curve),
-            "auc_mann_whitney": auc_mann_whitney(dataset),
-        }
-    if "binormal" in config.estimators:
-        params = fit_binormal(dataset)
-        curve = binormal_curve(params, grid)
-        curves["binormal"] = curve
-        auc = binormal_auc(params)
-        estimators["binormal"] = {
-            "auc_trapezoidal": auc_trapezoid(curve),
-            "auc_closed_form": auc,
-            "auc_mann_whitney": auc,
-            "mann_whitney_is_closed_form": True,
-            "params": asdict(params),
-        }
-    if "mg" in config.estimators:
-        f_model, g_model, mg_result = mg_pipeline(dataset, config.em, config.mg)
-        curves["mg"] = mg_result.mean_curve
-        estimators["mg"] = {
-            "auc_trapezoidal": mg_result.auc_mean,
-            "auc_mann_whitney": mg_result.auc_mann_whitney_mean,
-            "auc_se": mg_result.auc_se,
-            "k_non_diseased": f_model.k,
-            "k_diseased": g_model.k,
-            "models": {"non_diseased": f_model.to_json_dict(), "diseased": g_model.to_json_dict()},
-            "bands": {
-                "alpha": config.mg.alpha,
-                "mean_ci_avg_width": float(np.mean(mg_result.ci_upper - mg_result.ci_lower)),
-                "envelope_avg_width": float(np.mean(mg_result.env_upper - mg_result.env_lower)),
-            },
-        }
-
-    pauc_block = {}
-    for lo, hi in config.pauc_intervals:
-        pauc_block[PAUC_KEY.format(lo, hi)] = {
-            name: pauc(curve, lo, hi) for name, curve in curves.items()}
+    pauc_block = {PAUC_KEY.format(lo, hi): {name: pauc(c, lo, hi) for name, c in curves.items()}
+                  for lo, hi in config.pauc_intervals}
 
     settings = {
         "seed": config.mg.seed,
         "m": config.mg.m,
         "alpha": config.mg.alpha,
-        "grid_size": grid.count,
+        "grid_size": config.mg.grid.count,
         # select_k searches from K=1; schema 1 states it as "k_min", as it states EM_TOL
         "em": {"k_min": 1, **asdict(config.em), "tol": EM_TOL},
         "estimators": list(config.estimators),
@@ -208,7 +215,7 @@ def analyse(
         estimators=estimators,
         pauc=pauc_block,
     )
-    return report, curves, mg_result
+    return report, curves, results.get("mg")
 
 
 def _csv_text(header, rows) -> str:

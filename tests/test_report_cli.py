@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -20,7 +21,7 @@ from mixroc.cli import (
 from mixroc.datasets import load_dataset, make_uniform_grid
 from mixroc.ensemble import MgConfig
 from mixroc.gmm import EmConfig
-from mixroc.report import Report, compare_table
+from mixroc.report import ESTIMATORS, Report, compare_table
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = str(ROOT / "data" / "wieand_pancreatic.csv")
@@ -155,6 +156,23 @@ class TestAnalyse:
         run(config)
         written = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         assert written == {name: text.encode() for name, text in files.items()}
+
+    def test_estimator_table_is_report_estimators(self):
+        # the one place each estimator runs names every estimator, in the report's order
+        assert tuple(mixroc.cli._ESTIMATORS) == ESTIMATORS
+
+    def test_reversed_selection_keeps_estimator_order(self, tmp_path):
+        config = fast_config(tmp_path, estimators=("mg", "empirical"), report_format="csv",
+                             plots=True)
+        dataset = load_dataset(config.input_path)
+        report, curves, mg_result = analyse(dataset, config)
+        assert list(report.estimators) == list(curves) == ["empirical", "mg"]
+        assert report.settings["estimators"] == ["mg", "empirical"]
+        files = _render(config, report, curves, mg_result, dataset)
+        rows = list(csv.reader(files["report.csv"].splitlines()))
+        assert [row[0] for row in rows[1:]] == ["empirical", "mg"]
+        polylines = re.findall(r'<polyline [^>]*stroke="(#[0-9a-f]+)"', files["roc_overlay.svg"])
+        assert polylines == ["#bbbbbb", "#333333", "#2060c0"]  # diagonal, empirical, mg
 
 
 class TestCompareTable:

@@ -7,7 +7,7 @@
 temporary directory with PYTHONPATH=DIR/src, and writes case -> file -> SHA-256 of every file
 the case left behind, with its exit code and the SHA-256 of its stdout and stderr. The cases:
 
-- cli/...     the CLI on the bundled study, a two-file run and two estimator subsets;
+- cli/...     the CLI on the bundled study, a two-file run and three estimator subsets;
 - demo/...    the five demos, stdout and the files they write;
 - fits/...    `fit_em` models and traces, and `select_k` models, on a fixed input set: the
               Wieand populations at seeds 0-19, synthetic shapes at K 1-5 and four
@@ -73,6 +73,9 @@ def case_list(tree: Path) -> dict[str, dict]:
     cases["cli/ca125-empirical-binormal"] = [
         py, "-m", "mixroc", *wieand, "--score-col", "ca125", "--estimators",
         "empirical,binormal", "--out", "out", "--plots", "--reproducible"]
+    cases["cli/ca125-mg-empirical-csv"] = [  # a selection out of order: the order written
+        py, "-m", "mixroc", *wieand, "--score-col", "ca125", "--estimators", "mg,empirical",
+        "--report-format", "csv", "--out", "out", "--plots", "--reproducible"]
     for demo in sorted((tree / "demos").glob("*.py")):
         cases[f"demo/{demo.stem}"] = [py, str(demo)]
     for group in LIBRARY_GROUPS:
