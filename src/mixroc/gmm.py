@@ -25,6 +25,7 @@ EM_TOL = 1e-8  # EM stops when |ll - previous E-step's ll| <= EM_TOL * (1 + |ll|
 # memory of fit_em near one restart's whatever n_restarts is (5 restarts at K=5 batch
 # together up to n = 2621; at larger n * k a batch holds fewer, down to one)
 _BLOCK_VALUES = 2**16
+_FLOAT_MIN = np.finfo(float).min
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,10 @@ class EmConfig:
     log-likelihood -inf, the one way a restart fails (see :func:`fit_em`). Variances are
     floored at 1e-6 * (sample range)^2. Restart r at K components draws its centers from its
     own stream (population, K, r), so adding a K or a restart changes no other. The restarts
-    of one K run together, each stopping on its own, with results identical to running them
-    one by one. EM keeps one log-likelihood per restart and E-step run; nothing is sized from
+    of one K run together as the rows of one (R, k, n) array, each stopping on its own, with
+    results identical to running them one by one; each E-step reuses the squared deviations
+    of the M-step before it, and the whole loop runs under one errstate, owned by the EM
+    kernel. EM keeps one log-likelihood per restart and E-step run; nothing is sized from
     `max_iter`, which is unbounded. `seed` lies in [0, 2**128).
     """
 
@@ -165,69 +168,87 @@ def _initial_params(x, k, floor, rng):
 
 
 def _log_sum_exp(a):
-    """log(sum(exp(a), axis=-2)) shifted by each column's max; a column of -inf gives -inf."""
-    top = np.maximum(a.max(axis=-2, keepdims=True), np.finfo(float).min)
-    with np.errstate(divide="ignore"):  # log(0) of a column of -inf
-        return (top + np.log(np.exp(a - top).sum(axis=-2, keepdims=True))).squeeze(-2)
+    """log(sum(exp(a), axis=-2)) shifted by each column's max; a column of -inf gives -inf
+    through log(0), so the caller's errstate ignores "divide"."""
+    top = np.maximum(np.maximum.reduce(a, axis=-2, keepdims=True), _FLOAT_MIN)
+    return (top + np.log(np.add.reduce(np.exp(a - top), axis=-2, keepdims=True))).squeeze(-2)
 
 
-def _log_components(x, weights, means, variances):
-    # (..., k, n) array of log(pi_k * phi(x | mu_k, var_k)) for (..., k) parameters
-    weights, means, variances = (p[..., None] for p in (weights, means, variances))
-    with np.errstate(over="ignore"):  # a huge |x - mu| squares to inf, whose density is 0
-        z2 = (x - means) ** 2 / variances
-    return np.log(weights) - 0.5 * (np.log(2.0 * np.pi * variances) + z2)
+def _log_components(x, weights, means, variances, sq=None):
+    """(..., k, n) array of log(pi_k * phi(x | mu_k, var_k)) for (..., k) parameters, or for
+    (..., k, 1) ones and sq = (x - means) ** 2, as EM passes them. A huge |x - mu| squares to
+    inf, whose density is 0, so the caller's errstate ignores "over"."""
+    if sq is None:
+        weights, means, variances = (p[..., None] for p in (weights, means, variances))
+        sq = (x - means) ** 2
+    return np.log(weights) - 0.5 * (np.log(2.0 * np.pi * variances) + sq / variances)
 
 
 def _em_restarts(x, k, config, floor, rngs):
-    """EM from one initial state per generator, all stepped together on (R, k, n) arrays;
-    returns (R, k) weights, means and variances, (R,) ll and one trace per generator, in order.
+    """EM from one initial state per generator, each on its own row of data, all stepped
+    together on (R, k, n) arrays; returns (R, k) weights, means and variances, (R,) ll and one
+    trace per generator, in order. `x` broadcasts to (R, n) and `floor` to (R,): restart r
+    fits the centred row x[r] with variance floor floor[r], so the restarts of one sample
+    pass one row and one floor.
 
     Each restart runs at most `config.max_iter` M-steps, each between two E-steps, so ll is
     of the returned parameters and the trace holds the log-likelihood at each E-step, one more
-    than the M-steps; EM keeps it non-decreasing. The only convergence state is the history of
-    E-step log-likelihoods, grown by one (R,) row per E-step: a restart stops at the first
-    E-step whose ll is within EM_TOL * (1 + |ll|) of the row before, or at `max_iter`. Else an
-    E-step that leaves a component less than one observation of responsibility mass has
-    starved the restart, a step toward a degenerate fit (the likelihood is unbounded): it
-    stops there with that E-step's parameters and ll = -inf. Rows leave the batch at one point
-    per iteration, and the reductions below round as the one-restart forms do, so every result
-    is bit-identical to running the restarts one by one. Each generator is read only for its
-    restart's initial centers.
+    than the M-steps; EM keeps it non-decreasing. The only convergence state is the traces: a
+    restart stops at the first E-step whose ll is within EM_TOL * (1 + |ll|) of the one before,
+    or at `max_iter`. Else an E-step that leaves a component less than one observation of
+    responsibility mass has starved the restart, a step toward a degenerate fit (the likelihood
+    is unbounded): it stops there with that E-step's parameters and ll = -inf. Both tests run
+    on Python floats, which compare as the arrays' doubles do. Rows leave the batch at one
+    point per iteration, and the reductions below round as the one-restart forms do, so every
+    result is bit-identical to running the restarts one by one. Parameters are (R, k, 1)
+    columns; the M-step's squared deviations (x - mu) ** 2 are the next E-step's, and one
+    errstate around the loop serves `_log_components` and `_log_sum_exp`. Each generator is
+    read only for its restart's initial centers.
     """
-    n, restarts = x.size, len(rngs)
-    weights, means, variances = (
-        np.array(p) for p in zip(*(_initial_params(x, k, floor, rng) for rng in rngs)))
-    params, ll_out = np.empty((3, restarts, k)), np.empty(restarts)
-    steps = np.empty(restarts, dtype=int)  # E-steps each restart ran
-    history = []  # grows by one row per E-step, NaN where a restart has left
+    restarts = len(rngs)
+    x = np.broadcast_to(x, (restarts, np.shape(x)[-1]))
+    floor = np.broadcast_to(floor, (restarts,))
+    n = x.shape[1]
+    weights, means, variances = (np.array(p)[..., None] for p in zip(
+        *(_initial_params(row, k, f, rng) for row, f, rng in zip(x, floor, rngs))))
+    params, ll_out = np.empty((3, restarts, k, 1)), np.empty(restarts)
+    traces = [[] for _ in rngs]
     live = np.arange(restarts)  # batch row -> restart
-    for it in range(config.max_iter + 1):
-        log_comp = _log_components(x, weights, means, variances)
-        log_norm = _log_sum_exp(log_comp)
-        history.append(np.full(restarts, np.nan))
-        history[-1][live] = ll = log_norm.sum(axis=-1)
-        resp = np.exp(log_comp - log_norm[:, None])
-        nk = resp.sum(axis=2)
-        stop = np.full(live.size, it == config.max_iter)
-        if it >= 1:
-            stop |= abs(ll - history[-2][live]) <= EM_TOL * (1.0 + abs(ll))
-        starved = ~stop & (nk < 1.0).any(axis=1)  # mass below 1/n_train of the data
-        done = stop | starved
-        if done.any():
-            params[:, live[done]] = weights[done], means[done], variances[done]
-            ll_out[live[done]] = np.where(starved[done], -np.inf, ll[done])
-            steps[live[done]] = it + 1
-            live, resp, nk = live[~done], resp[~done], nk[~done]
-            if not live.size:
-                break
-        # these reduction forms round as the (k, n) sum(axis=1), resp @ x, einsum("kn,kn->k") do
-        means = resp @ x / nk
-        variances = np.maximum(
-            np.einsum("rkn,rkn->rk", resp, (x - means[..., None]) ** 2) / nk, floor)
-        weights = nk / n
-    history = np.array(history)
-    return *params, ll_out, [history[:s, r].tolist() for r, s in enumerate(steps)]
+    floor, x_row, x_col = floor[:, None, None], x[:, None, :], x[:, :, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        sq = (x_row - means) ** 2
+        for it in range(config.max_iter + 1):
+            log_comp = _log_components(x_row, weights, means, variances, sq)
+            log_norm = _log_sum_exp(log_comp)
+            ll = np.add.reduce(log_norm, axis=-1).tolist()
+            resp = np.exp(log_comp - log_norm[:, None])
+            nk = np.add.reduce(resp, axis=-1, keepdims=True)
+            done = []
+            for row, (r, value, mass) in enumerate(zip(live.tolist(), ll, nk[..., 0].tolist())):
+                trace = traces[r]
+                trace.append(value)
+                if it == config.max_iter or (
+                        it and abs(value - trace[-2]) <= EM_TOL * (1.0 + abs(value))):
+                    ll_out[r] = value
+                elif min(mass) < 1.0:  # mass below 1/n_train of the data
+                    ll_out[r] = -np.inf
+                else:
+                    continue
+                done.append(row)
+            if done:
+                params[:, live[done]] = weights[done], means[done], variances[done]
+                if len(done) == live.size:
+                    break
+                keep = [row for row in range(live.size) if row not in done]
+                live, resp, nk, floor, x_row, x_col = (
+                    a[keep] for a in (live, resp, nk, floor, x_row, x_col))
+            # these reduction forms round as the (k, n) sum(axis=1), resp @ x, einsum("kn,kn->k")
+            # do: resp @ x_col is one matrix-vector product per row
+            means = resp @ x_col / nk
+            sq = (x_row - means) ** 2
+            variances = np.maximum(np.einsum("rkn,rkn->rk", resp, sq)[..., None] / nk, floor)
+            weights = nk / n
+    return *params[..., 0], ll_out, traces
 
 
 def fit_em(
@@ -308,7 +329,9 @@ def _elementwise(func):
 @_elementwise
 def pdf(model: GmmModel, x):
     """Mixture density sum_k pi_k * phi(x | mu_k, var_k), elementwise, summed in log space."""
-    return np.exp(_log_sum_exp(_log_components(x, model.weights, model.means, model.variances)))
+    with np.errstate(over="ignore", divide="ignore"):  # a far x has density 0, log density -inf
+        return np.exp(_log_sum_exp(_log_components(x, model.weights, model.means,
+                                                   model.variances)))
 
 
 @_elementwise
@@ -326,7 +349,9 @@ def _log_tail(model: GmmModel, c: NDArray[np.float64], sign) -> NDArray[np.float
     from scipy.special import log_ndtr  # the tail functions alone pay scipy.special's import
 
     z = (c - model.means[:, None]) / model.sigmas[:, None]
-    return _log_sum_exp(log_ndtr(sign * z) + np.log(model.weights)[:, None])
+    log_comp = log_ndtr(sign * z) + np.log(model.weights)[:, None]
+    with np.errstate(divide="ignore"):  # log(0) of a column of -inf: a tail of 0
+        return _log_sum_exp(log_comp)
 
 
 def _chandrupatla(gap, x1, x2):

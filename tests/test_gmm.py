@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp, ndtr, ndtri
@@ -713,21 +713,27 @@ CORNER_SHAPES = {
 
 
 @st.composite
-def corner_fits(draw):
-    """(scores, k, max_iter) at the corners of the fit range rule."""
-    n = draw(st.integers(2, 40))
+def corner_scores(draw, n):
+    """n scores at a corner of the fit range rule."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unit = CORNER_SHAPES[draw(st.sampled_from(sorted(CORNER_SHAPES)))](rng, n)
     unit = (unit - unit.min()) / (np.ptp(unit) or 1.0)
     centre = draw(st.sampled_from([0.0, 1e300, -1e300, 1e307, 5e-324]))
     spread = draw(st.sampled_from([0.0, 1e-150, 1e150]))
-    return (centre + spread * unit, draw(st.integers(1, min(5, n))),
+    return centre + spread * unit
+
+
+@st.composite
+def corner_fits(draw):
+    """(scores, k, max_iter) at the corners of the fit range rule."""
+    n = draw(st.integers(2, 40))
+    return (draw(corner_scores(n)), draw(st.integers(1, min(5, n))),
             draw(st.sampled_from([1, 2, 500])))
 
 
-@given(corner_fits())
+@given(corner_fits(), st.data())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_em_restarts_never_end_nan(fit):
+def test_em_restarts_never_end_nan(fit, data):
     # the range rule keeps every z^2 <= 1e6 and a restart stops before dividing by N_k < 1,
     # so a restart either starves (ll = -inf) or ends finite, and warns about nothing
     scores, k, max_iter = fit
@@ -735,15 +741,51 @@ def test_em_restarts_never_end_nan(fit):
     gmm._check_fit_range(sample)
     x = sample.scores
     rngs = [gmm._stream(0, 0, k, r) for r in range(5)]
+    # a second corner sample of this n at another scale, so another floor: both as rows
+    other = sample_of(data.draw(corner_scores(x.size)))
+    gmm._check_fit_range(other)
+    floors = [gmm._effective_floor(s) for s in (x, other.scores)]
+    assume(floors[0] != floors[1])
+    rows = [s - s[s.size // 2] for s in (x, other.scores)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        *params, ll, traces = gmm._em_restarts(x - x[x.size // 2], k, EmConfig(max_iter=max_iter),
-                                              gmm._effective_floor(x), rngs)
-    assert np.all(np.isfinite(params))
-    assert not np.any(np.isnan(ll))
-    assert not np.any(np.isnan(np.concatenate(traces)))
-    if k == 1:  # the one component holds every score, so no restart starves
-        assert np.all(np.isfinite(ll))
+        one_row = gmm._em_restarts(x - x[x.size // 2], k, EmConfig(max_iter=max_iter),
+                                   gmm._effective_floor(x), rngs)
+        two_rows = gmm._em_restarts(np.array(rows), k, EmConfig(max_iter=max_iter),
+                                    np.array(floors), rngs[:2])
+    for *params, ll, traces in (one_row, two_rows):
+        assert np.all(np.isfinite(params))
+        assert not np.any(np.isnan(ll))
+        assert not np.any(np.isnan(np.concatenate(traces)))
+        if k == 1:  # the one component holds every score, so no restart starves
+            assert np.all(np.isfinite(ll))
+
+
+def test_rows_of_data_match_their_one_row_calls():
+    # three samples of n=30 at unequal scales, so unequal floors, stacked as the rows of one
+    # call, each with its own generator: row 0 converges, row 1 starves at its third E-step
+    # and row 2 runs to max_iter
+    k, config = 3, EmConfig(max_iter=60)
+    cases = [(4, 1.0, 1), (8, 1e3, 1), (0, 1e-2, 0)]  # (data seed, scale, restart stream)
+    samples = [np.sort(np.random.default_rng(seed).normal(0.0, 1.0, 30)) * scale
+               for seed, scale, _ in cases]
+    rows = [s - s[s.size // 2] for s in samples]
+    floors = [gmm._effective_floor(s) for s in samples]
+
+    def streams():
+        return [gmm._stream(0, 0, k, r) for *_, r in cases]
+
+    *params, ll, traces = gmm._em_restarts(np.array(rows), k, config, np.array(floors),
+                                           streams())
+    assert len(set(floors)) == 3
+    assert [len(trace) for trace in traces] == [13, 3, config.max_iter + 1]
+    assert np.isfinite(ll[0]) and ll[1] == -np.inf and np.isfinite(ll[2])
+    for row, (x, floor, rng, scalar_rng) in enumerate(zip(rows, floors, streams(), streams())):
+        *one, one_ll, one_traces = gmm._em_restarts(x, k, config, floor, [rng])
+        scalar = scalar_em(x, k, config, floor, scalar_rng)
+        for got, alone, ref in zip([*params, ll], [*one, one_ll], scalar[:4]):
+            assert np.array_equal(got[row], alone[0]) and np.array_equal(got[row], ref)
+        assert traces[row] == one_traces[0] == scalar[4]
 
 
 def test_em_memory_does_not_grow_with_max_iter():

@@ -11,7 +11,9 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
 - demo/...    the five demos, stdout and the files they write;
 - fits/...    `fit_em` models and traces, and `select_k` models, on a fixed input set: the
               Wieand populations at seeds 0-19, synthetic shapes at K 1-5 and four
-              `max_iter` values, and hostile inputs (ties, n=2, a constant 1e200);
+              `max_iter` values, hostile inputs (ties, n=2, a constant 1e200), and the
+              three acceptance simulation scenarios at n=150 and seeds 0-9 with the
+              protocol's `EmConfig(k_max=3, n_restarts=3, max_iter=300, seed=s)`;
 - functional-roc  `functional_roc` on fixed models, and one model at the float limit;
 - ensemble    `run_mg` and `sample_from` on fixed models, at four sizes and both grids.
 
@@ -47,7 +49,11 @@ import scipy
 CLI_FLAGS = ["--plots", "--reproducible", "--pauc", "0:0.1", "--dump-replicates"]
 TOOL = str(Path(__file__).resolve())
 LIBRARY_GROUPS = ("fits/wieand", "fits/synthetic", "fits/hostile", "fits/select-k",
-                  "functional-roc", "ensemble")
+                  "fits/sim-sweep", "functional-roc", "ensemble")
+# the acceptance simulation protocol (tests/test_acceptance.py): controls N(0, 1), cases an
+# equal mixture of two normals, name -> (means, sds)
+SIM_SCENARIOS = {"strong": ((2.2, 5.0), (0.6, 1.0)), "moderate": ((0.3, 2.6), (0.5, 0.9)),
+                 "poor": ((-0.5, 1.6), (0.6, 1.2))}
 TWO_FILE_INPUTS = {  # 40 controls and 35 cases, rounded so the text is fixed
     "non_diseased.txt": "".join(f"{math.sin(i) * 3 + 10:.3f}\n" for i in range(40)),
     "diseased.txt": "".join(f"{math.cos(i) * 4 + 13 + (i % 7 == 0) * 9:.3f}\n"
@@ -275,6 +281,20 @@ def _library_cases(group: str, data: str):
                 for max_iter in (1, 2, 37, 500):
                     config = EmConfig(max_iter=max_iter)
                     yield f"{name}-k{k}-iter{max_iter}", fit(values, k, config)
+    if group == "fits/sim-sweep":
+        for index, (scenario, (means, sds)) in enumerate(SIM_SCENARIOS.items()):
+            for seed in range(10):  # the scores of the protocol's study at this seed
+                rng = np.random.default_rng(np.random.SeedSequence(2026, spawn_key=(index, seed)))
+                x = rng.normal(0.0, 1.0, 150)
+                comp = rng.integers(0, 2, 150)
+                study = mixroc.from_arrays(x, rng.normal(np.asarray(means)[comp],
+                                                         np.asarray(sds)[comp]))
+                config = EmConfig(k_max=3, n_restarts=3, max_iter=300, seed=seed)
+                for pop in (study.non_diseased, study.diseased):
+                    name = f"{scenario}-{pop.population_tag.name.lower()}-seed{seed}"
+                    yield name, select(pop.scores, config, pop.population_tag)
+                    for k in range(1, 4):
+                        yield f"{name}-k{k}", fit(pop.scores, k, config, pop.population_tag)
     if group == "functional-roc":
         models = {
             "unit": mixroc.GmmModel([1.0], [0.0], [1.0]),
