@@ -124,6 +124,13 @@ _REFINED_EDGE = 1e-10
 _REFINED_EDGE_POINTS = 256  # ladder points at each end
 
 
+def _sorted_unique(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The distinct values, ascending: the sort and mask `np.unique` runs on floats, without
+    the import of `numpy.ma` it makes on first use."""
+    v = np.sort(values, axis=None)
+    return np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
+
+
 def make_uniform_grid(count: int = DEFAULT_GRID_SIZE) -> FprGrid:
     """Uniform grid of `count` points over [0, 1], endpoints included."""
     if count < 2:
@@ -141,7 +148,7 @@ def make_refined_grid() -> FprGrid:
     """
     core = np.linspace(0.0, 1.0, _REFINED_COUNT - 2 * _REFINED_EDGE_POINTS)
     ladder = np.geomspace(_REFINED_EDGE, core[1], _REFINED_EDGE_POINTS + 1)[:-1]
-    points = np.unique(np.concatenate([core, ladder, 1.0 - ladder]))
+    points = _sorted_unique(np.concatenate([core, ladder, 1.0 - ladder]))
     return FprGrid(points)
 
 

@@ -7,7 +7,8 @@ sorted once. One call of :mod:`mixroc.roc`'s block kernel gives each row's
 empirical ROC on the shared grid and its AUCs, as the single-study
 functions would.
 The ensemble mean is the curve estimate; per-point standard errors give a
-mean confidence band, pointwise quantiles an envelope band. Replicate l
+mean confidence band, pointwise quantiles an envelope band, all reduced a
+chunk of grid columns at a time in bounded memory. Replicate l
 draws from the stream (l,) of the master seed. When a replicate holds at
 least 1000 scores, contiguous shares of the blocks run on up to one worker
 thread per CPU the process may use; smaller replicates run serially, where
@@ -31,7 +32,7 @@ from numpy.typing import NDArray
 from .datasets import FprGrid, LabeledDataset, make_uniform_grid
 from .gmm import EmConfig, GmmModel, _check_seed, _mixture_draws, _stream, select_k
 
-from .roc import RocCurveGrid, _roc_rows, auc_trapezoid
+from .roc import RocCurveGrid, _roc_rows, _row_quantiles, auc_trapezoid
 # importable here only because benchmarks/tracing.py wraps them on this module
 from .gmm import sample_from  # noqa: F401
 from .roc import auc_mann_whitney, empirical_roc  # noqa: F401
@@ -45,6 +46,10 @@ _BLOCK_SCORES = 2**15
 # threads; in smaller ones each replicate's stream set-up, which holds the GIL,
 # outweighs the block arithmetic, which releases it
 _THREAD_SCORES = 1000
+# values per chunk of replicate-matrix columns the bands are reduced over (2 MiB):
+# 65 grid columns at M = 4000, the whole 512-point grid up to M = 512; measured
+# faster than 2**15 at M = 4000 and than 2**19 at M = 1000
+_BAND_VALUES = 2**18
 
 
 def _cpus() -> int:
@@ -122,7 +127,12 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     process may use; each share runs in a copy of the caller's context, so
     its `np.errstate` holds there too. Results are stored by index, so they
     do not depend on the block size or the worker count. The M x grid matrix
-    of replicate curves is returned as `replicate_matrix`. Replicate sizes
+    of replicate curves is returned as `replicate_matrix`. Its mean, standard
+    errors and envelope are reduced a chunk of grid columns at a time, each
+    chunk's columns sorted as rows for `mixroc.roc._row_quantiles` at numpy's
+    default linear quantile, so they need one chunk of memory beyond the
+    matrix, and equal the whole matrix's `mean`, `std` and `np.quantile` bit
+    for bit. Replicate sizes
     unset in `config` are the models' `n_train`, and must be at least 2.
     """
     n_x = config.replicate_n_x or f_model.n_train
@@ -169,18 +179,24 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
                           for first, stop in zip(bounds, bounds[1:])]:
                 share.result()
 
-    mean_tpr = curves.mean(axis=0)
-    se = curves.std(axis=0, ddof=1)
+    # the bands a chunk of grid columns at a time, so the extra memory is one chunk, not
+    # a copy of the whole matrix; a sum over axis 0 adds row after row for every column
+    # of a chunk, as over the whole matrix, but numpy sums a lone column pairwise, so no
+    # chunk is narrower than two columns: the last one takes up a one-column remainder
+    width = max(2, _BAND_VALUES // m)
+    edges = [0, *range(width, grid.count - 1, width), grid.count]
+    mean_tpr, se, env_lower, env_upper = np.empty((4, grid.count))
+    positions = (m - 1) * np.array([config.alpha / 2.0, 1.0 - config.alpha / 2.0])
+    for cols in map(slice, edges, edges[1:]):
+        chunk = curves[:, cols]
+        mean_tpr[cols] = chunk.mean(axis=0)
+        se[cols] = chunk.std(axis=0, ddof=1)
+        # each grid point's replicates as one sorted row
+        env_lower[cols], env_upper[cols] = _row_quantiles(np.sort(chunk.T, axis=1), positions).T
     z = NormalDist().inv_cdf(1.0 - config.alpha / 2.0)
     half = z * se / np.sqrt(m)
     ci_lower = np.clip(mean_tpr - half, 0.0, 1.0)
     ci_upper = np.clip(mean_tpr + half, 0.0, 1.0)
-    # each grid point's replicates as one contiguous row, partitioned in place:
-    # the copy np.quantile would make anyway, laid out for speed
-    env_lower, env_upper = np.quantile(
-        curves.T.copy(), [config.alpha / 2.0, 1.0 - config.alpha / 2.0], axis=1,
-        overwrite_input=True,
-    )
     # at grid points where more than 1-alpha/2 of the replicates saturate at
     # 0 or 1, the raw quantile can cross the mean; widen minimally so the
     # envelope always contains the mean curve

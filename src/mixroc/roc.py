@@ -23,16 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .datasets import FprGrid, LabeledDataset
+from .datasets import FprGrid, LabeledDataset, _sorted_unique
 from .gmm import GmmModel, survival, survival_inverse
 
 _EDGE_TOL = 1e-9
 
 
-def _row_quantiles(rows: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """`np.quantile(row, q, method="interpolated_inverted_cdf")` of each sorted row.
+def _row_quantiles(
+    rows: NDArray[np.float64], virtual: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """The values of each sorted row at the 0-based fractional positions `virtual`.
 
-    n q - 1 lies in [-1, n - 1], so its floor and the index after it are clamped to the row
+    The package's one quantile rule, at two of Hyndman and Fan's (1996) definitions: the
+    positions n q - 1 give `np.quantile(row, q, method="interpolated_inverted_cdf")`
+    (definition 4, the empirical curve's threshold), and (n - 1) q give numpy's default
+    `"linear"` (definition 7, the ensemble's envelope), for rows of length n.
+    Positions lie in [-1, n - 1], so a floor and the index after it are clamped to the row
     by one bound each, and the weight gamma lies in [0, 1). Where an index is clamped both
     name the same end, a = b, and the value is the per-row call's (numpy weighs a = b by a
     gamma outside [0, 1], which can differ only in the sign of a zero). The lerp has numpy's
@@ -40,7 +46,6 @@ def _row_quantiles(rows: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray
     float apart), a(1-g) + b g, whose terms have opposite signs, keeps it finite.
     """
     n = rows.shape[1]
-    virtual = n * q - 1.0
     lo = np.floor(virtual).astype(np.intp)
     gamma = virtual - lo
     a = rows[:, np.maximum(lo, 0)]
@@ -93,7 +98,7 @@ def _mann_whitney_rows(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArra
 def _roc_rows(x: NDArray[np.float64], y: NDArray[np.float64], t: NDArray[np.float64]):
     """Grid TPR, trapezoid AUC and Mann-Whitney AUC of each pair of sorted rows x and y:
     row by row, :func:`empirical_roc`, :func:`auc_trapezoid` and :func:`auc_mann_whitney`."""
-    tpr = _tpr_rows(y, _row_quantiles(x, 1.0 - t), t)
+    tpr = _tpr_rows(y, _row_quantiles(x, x.shape[1] * (1.0 - t) - 1.0), t)
     return tpr, _trapezoid_rows(tpr, t), _mann_whitney_rows(x, y)
 
 
@@ -142,7 +147,7 @@ def empirical_roc(
     y = dataset.diseased.scores
     t = grid.points
     if interpolate:
-        c = _row_quantiles(x[None], 1.0 - t)[0]
+        c = _row_quantiles(x[None], x.size * (1.0 - t) - 1.0)[0]
     else:
         # c_t = inf{c : FP(c) <= t} directly by order statistic; the 1e-12
         # guard keeps t values that are exact multiples of 1/n from falling
@@ -164,7 +169,7 @@ def empirical_roc_points(dataset: LabeledDataset):
     """
     x = dataset.non_diseased.scores
     y = dataset.diseased.scores
-    pooled = np.unique(np.concatenate([x, y]))[::-1]  # descending
+    pooled = _sorted_unique(np.concatenate([x, y]))[::-1]  # descending
     fpr = np.empty(pooled.size + 1)
     tpr = np.empty(pooled.size + 1)
     fpr[0] = 0.0

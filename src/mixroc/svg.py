@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .datasets import _sorted_unique
+
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 
@@ -119,7 +121,7 @@ def _bin_edges(scores: np.ndarray) -> np.ndarray:
         hi = max(hi + 0.5, np.nextafter(hi, np.finfo(float).max))
     edges = np.linspace(lo / 4, hi / 4, 31) * 4  # quarters, as in `_Canvas.px`
     edges[[0, -1]] = lo, hi  # a quarter rounds below 2**-1020
-    return np.unique(edges)
+    return _sorted_unique(edges)
 
 
 def histogram_svg(scores, title: str) -> str:

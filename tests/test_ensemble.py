@@ -1,6 +1,7 @@
 """Monte Carlo ensemble engine: averaging, bands, determinism."""
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 
@@ -116,6 +117,19 @@ class TestRunMg:
             for name in ("se", "ci_lower", "ci_upper", "env_lower", "env_upper", "auc_samples"):
                 np.testing.assert_array_equal(getattr(default, name), getattr(blocked, name))
             assert default.auc_mann_whitney_mean == blocked.auc_mann_whitney_mean
+
+    @pytest.mark.parametrize("m", [2000, 8000])
+    def test_band_reduction_in_bounded_memory(self, m):
+        # the bands take one chunk of grid columns at a time beyond the replicate matrix,
+        # however large M is: a copy of the whole matrix would be 7.8 / 31.2 MiB here
+        config = MgConfig(m=m, seed=5, grid=GRID, replicate_n_x=100, replicate_n_y=100)
+        tracemalloc.start()
+        try:
+            res = run_mg(F_STD, G_SHIFT3, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - res.replicate_matrix.nbytes <= 4 * 2**20
 
     def test_mean_is_smoother_than_replicates(self):
         res = run_mg(F_STD, G_SHIFT3, small_config(m=300))
@@ -245,6 +259,16 @@ def tied_rows(rows, n_x, n_y, seed):
     return x, y
 
 
+def zero_one_rows(rows, n_x, n_y, seed):
+    """Scores of 0 and 1 only, as saturated replicate curves are: x's first row all 0, its
+    last all 1."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.integers(0, 2, (rows, n_x)), axis=1).astype(float)
+    x[0], x[-1] = 0.0, 1.0
+    y = np.sort(rng.integers(0, 2, (rows, n_y)), axis=1).astype(float)
+    return x, y
+
+
 def normal_rows(rows, n_x, n_y, seed):
     rng = np.random.default_rng(seed)
     x = np.sort(rng.normal(0.0, 1.0, (rows, n_x)), axis=1)
@@ -257,6 +281,7 @@ ROW_INPUTS = {
     "ties-unequal": tied_rows(9, 51, 90, 1),
     "unequal": normal_rows(9, 51, 90, 2),
     "tiny": normal_rows(9, 2, 3, 3),
+    "zero-one": zero_one_rows(9, 40, 37, 4),
 }
 ROW_GRIDS = {
     "uniform": GRID,
@@ -302,11 +327,16 @@ class TestRowKernels:
     the per-row references bit for bit."""
 
     def test_quantiles(self, data_name, grid_name):
+        # positions n q - 1 are the empirical curve's quantile, (n - 1) q numpy's default
         x, _ = ROW_INPUTS[data_name]
+        n = x.shape[1]
         q = 1.0 - ROW_GRIDS[grid_name].points
-        got = roc._row_quantiles(x, q)
+        got = roc._row_quantiles(x, n * q - 1.0)
         want = [np.quantile(row, q, method="interpolated_inverted_cdf") for row in x]
         np.testing.assert_array_equal(got, want)
+        got = roc._row_quantiles(x, (n - 1) * q)
+        want = [np.quantile(row, q) for row in x]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_counts(self, data_name, grid_name):
         x, y = ROW_INPUTS[data_name]
@@ -358,17 +388,32 @@ def test_band_z_matches_scipy_ndtri():
     assert np.all(np.abs(z - ref) <= 8 * np.spacing(ref))
 
 
-@pytest.mark.parametrize("f, g", [
-    (GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.5, 0.3]),
-     GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])),
-    # K=1 still spends n uniforms in choice; a weight of one observation in 90
-    (F_STD, GmmModel([1 / 90, 0.3, 0.2, 0.2, 0.3 - 1 / 90], [0.5, 1.0, 2.0, 3.0, 4.0],
-                     [0.04, 1.0, 0.25, 0.09, 1.0])),
-], ids=["k3-vs-k2", "k1-vs-k5"])
-def test_run_mg_matches_per_replicate_loop(f, g):
+LOOP_MODELS = {
+    "k3-vs-k2": (GmmModel([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [1.0, 0.5, 0.3]),
+                 GmmModel([0.6, 0.4], [1.0, 3.0], [1.0, 0.5])),
+    # K=1 still spends n uniforms in choice; a weight of one observation in 90; grid
+    # columns where many replicates saturate at 1, at one of them more than 1 - alpha/2,
+    # so the envelope is widened to the mean
+    "k1-vs-k5": (F_STD, GmmModel([1 / 90, 0.3, 0.2, 0.2, 0.3 - 1 / 90],
+                                 [0.5, 1.0, 2.0, 3.0, 4.0], [0.04, 1.0, 0.25, 0.09, 1.0])),
+}
+# _BAND_VALUES in units of M, the values of one grid column, for the 77-column grid:
+# 1 asks for one column per chunk and gets two, the narrowest numpy sums row after row,
+# with three in the last; 4 leaves a one-column remainder, which joins the last chunk;
+# 10 leaves a ragged last chunk of 7 columns
+BAND_COLUMNS = {"": None, "-band-columns-1": 1, "-band-columns-4": 4, "-band-columns-10": 10}
+
+
+@pytest.mark.parametrize("models, columns", [
+    (models, columns) for columns in BAND_COLUMNS for models in LOOP_MODELS
+], ids=[models + columns for columns in BAND_COLUMNS for models in LOOP_MODELS])
+def test_run_mg_matches_per_replicate_loop(models, columns, monkeypatch):
     """run_mg against the per-replicate loop it replaced, kept here frozen."""
+    f, g = LOOP_MODELS[models]
     grid = ROW_GRIDS["no-endpoints"]
     config = MgConfig(m=37, seed=21, grid=grid, replicate_n_x=51, replicate_n_y=90, alpha=0.1)
+    if BAND_COLUMNS[columns] is not None:
+        monkeypatch.setattr(ensemble, "_BAND_VALUES", BAND_COLUMNS[columns] * config.m)
 
     curves = np.empty((config.m, grid.count))
     aucs = np.empty(config.m)

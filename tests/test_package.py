@@ -74,6 +74,18 @@ def test_default_cli_run_leaves_out_scipy_special(tmp_path):
     assert (tmp_path / "curve_binormal.csv").is_file() and (tmp_path / "mg_bands.csv").is_file()
 
 
+def test_cli_run_with_plots_leaves_out_numpy_ma(tmp_path):
+    # np.quantile and np.unique import numpy.ma on first use: the ensemble's envelope, the
+    # operating points and the histogram edges take their own sort instead
+    args = ["--input", DATA, "--score-col", "ca125", "--label-col", "status",
+            "--plots", "--reproducible", "--out", str(tmp_path)]
+    code = ("import sys; from mixroc.cli import main; "
+            f"assert main({args!r}) == 0; "
+            "print([m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')])")
+    assert run_python(code) == "[]"
+    assert (tmp_path / "roc_overlay.svg").is_file() and (tmp_path / "mg_bands.csv").is_file()
+
+
 def test_tail_functions_import_scipy_special_at_first_use():
     # bit for bit the values this interpreter, which has scipy.special loaded, computes
     code = TAIL_CODE + (
