@@ -7,7 +7,7 @@ sorted once. One call of :mod:`mixroc.roc`'s block kernel gives each row's
 empirical ROC on the shared grid and its AUCs, as the single-study
 functions would.
 The ensemble mean is the curve estimate; per-point standard errors give a
-mean confidence band, pointwise quantiles an envelope band, all reduced a
+mean confidence band, pointwise quantiles an envelope band, both reduced a
 chunk of grid columns at a time in bounded memory. Replicate l
 draws from the stream (l,) of the master seed. When a replicate holds at
 least 1000 scores, contiguous shares of the blocks run on up to one worker
@@ -127,12 +127,12 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     process may use; each share runs in a copy of the caller's context, so
     its `np.errstate` holds there too. Results are stored by index, so they
     do not depend on the block size or the worker count. The M x grid matrix
-    of replicate curves is returned as `replicate_matrix`. Its mean, standard
+    of replicate curves is returned as `replicate_matrix`. Its standard
     errors and envelope are reduced a chunk of grid columns at a time, each
     chunk's columns sorted as rows for `mixroc.roc._row_quantiles` at numpy's
     default linear quantile, so they need one chunk of memory beyond the
-    matrix, and equal the whole matrix's `mean`, `std` and `np.quantile` bit
-    for bit. Replicate sizes
+    matrix, and equal the whole matrix's `std` and `np.quantile` bit for
+    bit. Replicate sizes
     unset in `config` are the models' `n_train`, and must be at least 2.
     """
     n_x = config.replicate_n_x or f_model.n_train
@@ -179,17 +179,19 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
                           for first, stop in zip(bounds, bounds[1:])]:
                 share.result()
 
-    # the bands a chunk of grid columns at a time, so the extra memory is one chunk, not
-    # a copy of the whole matrix; a sum over axis 0 adds row after row for every column
-    # of a chunk, as over the whole matrix, but numpy sums a lone column pairwise, so no
-    # chunk is narrower than two columns: the last one takes up a one-column remainder
+    # the mean makes no full-size temporary; std's deviations and the envelope's sorted
+    # copy are taken a chunk of grid columns at a time, so their extra memory is one
+    # chunk, not a copy of the whole matrix. A sum over axis 0 adds row after row for
+    # every column of a chunk, as over the whole matrix, but numpy sums a lone column
+    # pairwise, so no chunk is narrower than two columns: the last one takes up a
+    # one-column remainder
+    mean_tpr = curves.mean(axis=0)
     width = max(2, _BAND_VALUES // m)
     edges = [0, *range(width, grid.count - 1, width), grid.count]
-    mean_tpr, se, env_lower, env_upper = np.empty((4, grid.count))
+    se, env_lower, env_upper = np.empty((3, grid.count))
     positions = (m - 1) * np.array([config.alpha / 2.0, 1.0 - config.alpha / 2.0])
     for cols in map(slice, edges, edges[1:]):
         chunk = curves[:, cols]
-        mean_tpr[cols] = chunk.mean(axis=0)
         se[cols] = chunk.std(axis=0, ddof=1)
         # each grid point's replicates as one sorted row
         env_lower[cols], env_upper[cols] = _row_quantiles(np.sort(chunk.T, axis=1), positions).T
