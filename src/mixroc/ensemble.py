@@ -30,11 +30,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .datasets import FprGrid, LabeledDataset, make_uniform_grid
-from .gmm import EmConfig, GmmModel, _check_seed, _mixture_draws, _stream, select_k
+from .gmm import EmConfig, GmmModel, _check_seed, _mixture_draws, _select_k_many, _stream
 
 from .roc import RocCurveGrid, _roc_rows, _row_quantiles, auc_trapezoid
 # importable here only because benchmarks/tracing.py wraps them on this module
-from .gmm import sample_from  # noqa: F401
+from .gmm import sample_from, select_k  # noqa: F401
 from .roc import auc_mann_whitney, empirical_roc  # noqa: F401
 
 # values per block of replicates, where a block row holds n_x + n_y scores
@@ -227,9 +227,11 @@ def mg_pipeline(
 ) -> tuple[GmmModel, GmmModel, MgEnsembleResult]:
     """Fit both populations (BIC-selected K) and run the ensemble.
 
+    Each model is the one :func:`select_k` gives its population. When both
+    populations have one size, their restarts share one EM call per K, as rows
+    of one array; otherwise each population's restarts run on their own.
     Replicate sizes default to the observed sizes, each model's `n_train`, so
     the band width reflects the study's own sampling uncertainty.
     """
-    f_model = select_k(dataset.non_diseased, em_config)
-    g_model = select_k(dataset.diseased, em_config)
+    f_model, g_model = _select_k_many([dataset.non_diseased, dataset.diseased], em_config)
     return f_model, g_model, run_mg(f_model, g_model, mg_config)

@@ -107,7 +107,9 @@ class EmConfig:
     floored at 1e-6 * (sample range)^2. Restart r at K components draws its centers from its
     own stream (population, K, r), so adding a K or a restart changes no other. The restarts
     of one K run together as the rows of one (R, k, n) array, each stopping on its own, with
-    results identical to running them one by one; each E-step reuses the squared deviations
+    results identical to running them one by one; the restarts of several samples of one
+    size share those rows, as a balanced study's two populations do in `mg_pipeline`, and
+    samples of different sizes never share a call. Each E-step reuses the squared deviations
     of the M-step before it, and the whole loop runs under one errstate, owned by the EM
     kernel. EM keeps one log-likelihood per restart and E-step run; nothing is sized from
     `max_iter`, which is unbounded. `seed` lies in [0, 2**128).
@@ -251,6 +253,50 @@ def _em_restarts(x, k, config, floor, rngs):
     return *params[..., 0], ll_out, traces
 
 
+def _fit_em_many(samples: list[ScoreSample], k: int, config: EmConfig):
+    """Fit k components by EM to each of several samples of one size n, as :func:`fit_em`
+    fits one; returns one (model, traces) pair per sample, in order.
+
+    Restart r of every sample is a row of `_em_restarts`, with that sample's centred scores,
+    its floor and its stream (population, k, r); the rows of all samples run together, at
+    most `_BLOCK_VALUES // (n * k)` to a call. A row leaves its batch on its own and reduces
+    as a one-row call does, so each result is bit-identical to fitting its sample alone.
+    Samples of different n do not share a call: padding them to one n would move the
+    summation grouping.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(samples[0])
+    if k > n:
+        raise ValueError(f"k={k} exceeds the sample size {n}")
+    for sample in samples:
+        _check_fit_range(sample)
+    xs = [np.asarray(sample.scores, dtype=float) for sample in samples]
+    # floors of the raw scores, so a constant population keeps its floor; EM runs on scores
+    # centred at x[n // 2], whose sums cannot overflow
+    floors = np.array([_effective_floor(x) for x in xs])
+    shifts = [x[n // 2] for x in xs]
+    centred = np.array([x - shift for x, shift in zip(xs, shifts)])
+    restarts = config.n_restarts
+    rngs = [_stream(config.seed, int(sample.population_tag is PopulationTag.DISEASED), k, r)
+            for sample in samples for r in range(restarts)]
+    owner = np.arange(len(rngs)) // restarts  # row -> sample
+    batch = max(1, _BLOCK_VALUES // (n * k))
+    *arrays, traces = zip(*(
+        _em_restarts(centred[owner[rows]], k, config, floors[owner[rows]], rngs[rows])
+        for rows in (slice(start, start + batch) for start in range(0, len(rngs), batch))))
+    weights, means, variances, ll = (np.concatenate(a) for a in arrays)
+    traces = [trace for part in traces for trace in part]
+    fits = []
+    for first, shift in zip(range(0, len(rngs), restarts), shifts):
+        best = first + int(np.argmax(ll[first:first + restarts]))  # the first of the highest
+        order = np.argsort(means[best])  # canonical component order
+        model = GmmModel(weights[best, order], means[best, order] + shift,
+                         variances[best, order], log_likelihood=float(ll[best]), n_train=n)
+        fits.append((model, traces[first:first + restarts]))
+    return fits
+
+
 def fit_em(
     sample: ScoreSample,
     k: int,
@@ -264,7 +310,9 @@ def fit_em(
     :class:`EmConfig` says; one that starves a component (responsibility mass
     below one observation) ends with log-likelihood -inf. The restarts run together
     as one array, in batches of at most :data:`_BLOCK_VALUES` values, each stopping
-    on its own; the results are identical to running them one by one.
+    on its own; the results are identical to running them one by one. This is the
+    one-sample case of the fit that steps the restarts of several same-size samples
+    in one array, as `mg_pipeline` fits a balanced study's two populations.
 
     Returns the :class:`GmmModel` of the first restart with the highest
     final log-likelihood, -inf if every restart starved. No restart ends NaN:
@@ -274,25 +322,8 @@ def fit_em(
     With `return_trace` also every restart's log-likelihood trace, one entry
     per E-step, monotone from its first.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    x = np.asarray(sample.scores, dtype=float)
-    if k > x.size:
-        raise ValueError(f"k={k} exceeds the sample size {x.size}")
-    _check_fit_range(sample)
-    floor = _effective_floor(x)  # of the raw scores: a constant population keeps its floor
-    shift = x[x.size // 2]  # EM runs on centred scores, whose sums cannot overflow
-    population = int(sample.population_tag is PopulationTag.DISEASED)
-    rngs = [_stream(config.seed, population, k, r) for r in range(config.n_restarts)]
-    batch = max(1, _BLOCK_VALUES // (x.size * k))
-    *arrays, traces = zip(*(_em_restarts(x - shift, k, config, floor, rngs[start:start + batch])
-                            for start in range(0, len(rngs), batch)))
-    weights, means, variances, ll = (np.concatenate(a) for a in arrays)
-    best = int(np.argmax(ll))  # the first of the highest
-    order = np.argsort(means[best])  # canonical component order
-    model = GmmModel(weights[best, order], means[best, order] + shift, variances[best, order],
-                     log_likelihood=float(ll[best]), n_train=int(x.size))
-    return (model, [trace for part in traces for trace in part]) if return_trace else model
+    model, traces = _fit_em_many([sample], k, config)[0]
+    return (model, traces) if return_trace else model
 
 
 def bic(model: GmmModel) -> float:
@@ -301,16 +332,35 @@ def bic(model: GmmModel) -> float:
     return -2.0 * model.log_likelihood + n_params * np.log(model.n_train)
 
 
+def _select_k_many(samples: list[ScoreSample], config: EmConfig) -> list[GmmModel]:
+    """:func:`select_k` of each sample, in order: the samples of one size share one
+    `_fit_em_many` call per K, so a balanced study's two populations make one EM loop per K,
+    and each model is bit-identical to its own `select_k` call."""
+    for sample in samples:  # the first sample out of range raises, as one call each would
+        _check_fit_range(sample)
+    groups: dict[int, list[int]] = {}
+    for index, sample in enumerate(samples):
+        groups.setdefault(len(sample), []).append(index)
+    models = [None] * len(samples)
+    for n, members in groups.items():
+        k_top = min(config.k_max, max(1, n // 3))
+        fits = [_fit_em_many([samples[i] for i in members], k, config)
+                for k in range(1, k_top + 1)]
+        for j, i in enumerate(members):
+            models[i] = min((fit[j][0] for fit in fits), key=bic)
+    return models
+
+
 def select_k(sample: ScoreSample, config: EmConfig = EmConfig()) -> GmmModel:
     """Fit each K in [1, min(k_max, max(1, n // 3))] and return the BIC minimizer.
 
     The cap keeps the 3K - 1 free parameters below n. Ties break toward smaller K; a starved
     fit's BIC is +inf, so it never wins: the one component at K=1 holds all n >= 2 scores,
     never starves and has a finite BIC. Each restart of each K draws from its own stream, so
-    adding a K or a restart never changes the other fits.
+    adding a K or a restart never changes the other fits. This is the one-sample case of the
+    selector that fits several same-size samples as rows of one EM call per K.
     """
-    k_top = min(config.k_max, max(1, len(sample) // 3))
-    return min((fit_em(sample, k, config) for k in range(1, k_top + 1)), key=bic)
+    return _select_k_many([sample], config)[0]
 
 
 def _elementwise(func):

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import beta, rankdata
 
-from mixroc import ensemble, roc
+from mixroc import ensemble, gmm, roc
 from mixroc.datasets import (
     FprGrid,
     from_arrays,
@@ -18,7 +18,7 @@ from mixroc.datasets import (
     make_uniform_grid,
 )
 from mixroc.ensemble import MgConfig, mg_pipeline, run_mg
-from mixroc.gmm import EmConfig, GmmModel, survival, survival_inverse
+from mixroc.gmm import EmConfig, GmmModel, select_k, survival, survival_inverse
 from mixroc.roc import RocCurveGrid, auc_mann_whitney, auc_trapezoid, empirical_roc
 
 GRID = make_uniform_grid(512)
@@ -510,3 +510,23 @@ class TestPipeline:
         )
         assert f.n_train == 60 and g.n_train == 60
         assert 0.5 < res.auc_mean <= 1.0
+
+    @pytest.mark.parametrize("n_x, n_y, calls", [(150, 150, 3), (51, 90, 6)])
+    def test_same_size_populations_share_em_calls(self, n_x, n_y, calls, monkeypatch):
+        # a balanced study fits both populations as rows of one EM call per K; an unbalanced
+        # one makes a call per population and K, k_top = 3 each
+        rng = np.random.default_rng(7)
+        ds = from_arrays(rng.normal(0, 1, n_x), rng.normal(1.5, 0.8, n_y))
+        em_config = EmConfig(k_max=3, n_restarts=3, max_iter=300, seed=2)
+        refs = [select_k(sample, em_config) for sample in (ds.non_diseased, ds.diseased)]
+        em_restarts, rows = gmm._em_restarts, []
+
+        def counted(*args, **kwargs):
+            rows.append(len(args[4]))
+            return em_restarts(*args, **kwargs)
+
+        monkeypatch.setattr(gmm, "_em_restarts", counted)
+        f, g, _ = mg_pipeline(ds, em_config, MgConfig(m=50, seed=0, grid=make_uniform_grid(64)))
+        assert len(rows) == calls and sum(rows) == 2 * 3 * em_config.n_restarts
+        for model, ref in zip((f, g), refs):
+            assert model.to_json_dict() == ref.to_json_dict()

@@ -329,6 +329,89 @@ class TestSelectK:
         assert bic(model) == pytest.approx(200.0 + 5 * np.log(50))
 
 
+# three samples of n=30 at scales 1, 1e3 and 1e-2 and both tags; at max_iter=60 every K=3
+# restart of the first runs to max_iter, and restart 1 of the third starves at K=3
+SAME_SIZE_CONFIG = EmConfig(k_max=3, n_restarts=3, max_iter=60)
+
+
+def same_size_samples(n=30):
+    tags = (PopulationTag.NON_DISEASED, PopulationTag.DISEASED, PopulationTag.NON_DISEASED)
+    return [ScoreSample(np.random.default_rng(seed).normal(0.0, 1.0, n) * scale, tag)
+            for seed, scale, tag in zip((0, 4, 8), (1.0, 1e3, 1e-2), tags)]
+
+
+def assert_same_model(got, ref):
+    for field in ("weights", "means", "variances", "log_likelihood", "n_train"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+
+def counting_em_restarts(monkeypatch):
+    """Count the calls of `gmm._em_restarts` from here on; returns the list they append to."""
+    calls, em_restarts = [], gmm._em_restarts
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))  # the rows of the call
+        return em_restarts(*args, **kwargs)
+
+    monkeypatch.setattr(gmm, "_em_restarts", counted)
+    return calls
+
+
+class TestSameSizeSamples:
+    def test_samples_hold_a_starving_and_a_max_iter_restart(self):
+        first, _, third = same_size_samples()
+        _, runs = scalar_fit(first, 3, SAME_SIZE_CONFIG)
+        assert all(len(run[4]) == SAME_SIZE_CONFIG.max_iter + 1 for run in runs)
+        _, runs = scalar_fit(third, 3, SAME_SIZE_CONFIG)
+        assert runs[1][3] == -np.inf and len(runs[1][4]) == 3
+
+    @pytest.mark.parametrize("rows", [None, 4], ids=["one-batch", "straddling-batches"])
+    def test_fits_equal_one_call_per_sample(self, rows, monkeypatch):
+        samples, config = same_size_samples(), SAME_SIZE_CONFIG
+        refs = {k: [fit_em(sample, k, config, return_trace=True) for sample in samples]
+                for k in (1, 2, 3)}
+        selected = [select_k(sample, config) for sample in samples]
+        calls = counting_em_restarts(monkeypatch)
+        for k, ref in refs.items():
+            if rows:  # 4 rows a batch: the restarts of samples 1 and 2 straddle two batches
+                monkeypatch.setattr(gmm, "_BLOCK_VALUES", rows * 30 * k)
+            for (model, traces), (ref_model, ref_traces) in zip(
+                    gmm._fit_em_many(samples, k, config), ref, strict=True):
+                assert_same_model(model, ref_model)
+                assert traces == ref_traces
+        assert calls == ([9, 9, 9] if rows is None else [4, 4, 1] * 3)
+        if rows:
+            monkeypatch.setattr(gmm, "_BLOCK_VALUES", rows * 30 * 3)
+        for model, ref in zip(gmm._select_k_many(samples, config), selected, strict=True):
+            assert_same_model(model, ref)
+
+    def test_mixed_sizes_fit_by_size(self, monkeypatch):
+        samples = [*same_size_samples(30), *same_size_samples(45)[:2]]
+        samples = [samples[i] for i in (3, 0, 1, 4, 2)]  # sizes 45, 30, 30, 45, 30
+        selected = [select_k(sample, SAME_SIZE_CONFIG) for sample in samples]
+        calls = counting_em_restarts(monkeypatch)
+        for model, ref in zip(gmm._select_k_many(samples, SAME_SIZE_CONFIG), selected,
+                              strict=True):
+            assert_same_model(model, ref)
+        assert calls == [6] * 3 + [9] * 3  # one call per K and size, sizes in order of first use
+
+    def test_first_sample_out_of_range_raises(self):
+        # the second and fourth break the range rule; the fourth shares the first's size, so
+        # fitting by size alone would reach it first
+        ok = same_size_samples()
+        samples = [ok[0], ScoreSample(np.arange(20.0) * 1e-160, PopulationTag.NON_DISEASED),
+                   ok[1], ScoreSample(np.arange(30.0) * 1e160, PopulationTag.DISEASED)]
+
+        def error_of(call):
+            with pytest.raises(ValueError) as info:
+                call()
+            return f"{type(info.value).__name__}: {info.value}"
+
+        expected = error_of(lambda: [select_k(sample, SAME_SIZE_CONFIG) for sample in samples])
+        assert "1.9e-159" in expected
+        assert error_of(lambda: gmm._select_k_many(samples, SAME_SIZE_CONFIG)) == expected
+
+
 class TestPdf:
     def test_standard_normal_peak(self):
         model = GmmModel([1.0], [0.0], [1.0])

@@ -14,6 +14,8 @@ the case left behind, with its exit code and the SHA-256 of its stdout and stder
               `max_iter` values, hostile inputs (ties, n=2, a constant 1e200), and the
               three acceptance simulation scenarios at n=150 and seeds 0-9 with the
               protocol's `EmConfig(k_max=3, n_restarts=3, max_iter=300, seed=s)`;
+- pipeline/sim-sweep  `mg_pipeline` on those thirty simulated studies, with the same `EmConfig`
+              and `MgConfig(m=50)`: both models and the ensemble of each;
 - functional-roc  `functional_roc` on fixed models, and one model at the float limit;
 - ensemble    `run_mg` and `sample_from` on fixed models, at four sizes and both grids.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import hashlib
 import json
 import math
@@ -49,7 +52,7 @@ import scipy
 CLI_FLAGS = ["--plots", "--reproducible", "--pauc", "0:0.1", "--dump-replicates"]
 TOOL = str(Path(__file__).resolve())
 LIBRARY_GROUPS = ("fits/wieand", "fits/synthetic", "fits/hostile", "fits/select-k",
-                  "fits/sim-sweep", "functional-roc", "ensemble")
+                  "fits/sim-sweep", "pipeline/sim-sweep", "functional-roc", "ensemble")
 # the acceptance simulation protocol (tests/test_acceptance.py): controls N(0, 1), cases an
 # equal mixture of two normals, name -> (means, sds)
 SIM_SCENARIOS = {"strong": ((2.2, 5.0), (0.6, 1.0)), "moderate": ((0.3, 2.6), (0.5, 0.9)),
@@ -281,7 +284,7 @@ def _library_cases(group: str, data: str):
                 for max_iter in (1, 2, 37, 500):
                     config = EmConfig(max_iter=max_iter)
                     yield f"{name}-k{k}-iter{max_iter}", fit(values, k, config)
-    if group == "fits/sim-sweep":
+    if group in ("fits/sim-sweep", "pipeline/sim-sweep"):
         for index, (scenario, (means, sds)) in enumerate(SIM_SCENARIOS.items()):
             for seed in range(10):  # the scores of the protocol's study at this seed
                 rng = np.random.default_rng(np.random.SeedSequence(2026, spawn_key=(index, seed)))
@@ -290,6 +293,14 @@ def _library_cases(group: str, data: str):
                 study = mixroc.from_arrays(x, rng.normal(np.asarray(means)[comp],
                                                          np.asarray(sds)[comp]))
                 config = EmConfig(k_max=3, n_restarts=3, max_iter=300, seed=seed)
+                if group == "pipeline/sim-sweep":
+                    # one run, recorded as three calls: each model, then the ensemble
+                    run = functools.cache(lambda study=study, config=config: mixroc.mg_pipeline(
+                        study, config, mixroc.MgConfig(m=50)))
+                    for part, suffix in enumerate(("non_diseased", "diseased", "ensemble")):
+                        yield (f"{scenario}-seed{seed}-{suffix}",
+                               lambda run=run, part=part: run()[part])
+                    continue
                 for pop in (study.non_diseased, study.diseased):
                     name = f"{scenario}-{pop.population_tag.name.lower()}-seed{seed}"
                     yield name, select(pop.scores, config, pop.population_tag)
