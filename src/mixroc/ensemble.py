@@ -9,20 +9,15 @@ functions would.
 The ensemble mean is the curve estimate; per-point standard errors give a
 mean confidence band, pointwise quantiles an envelope band, both reduced a
 chunk of grid columns at a time in bounded memory. Replicate l
-draws from the stream (l,) of the master seed. When a replicate holds at
-least 1000 scores, contiguous shares of the blocks run on up to one worker
-thread per CPU the process may use; smaller replicates run serially, where
-threads would not pay. Each block writes its own rows of the results, with
-arithmetic that does not depend on which rows share a block, so the same
-seed gives bit-identical results for any block size, worker count or
+draws from the stream (l,) of the master seed. The blocks run one after
+another on the caller's thread. Each block writes its own rows of the
+results, with arithmetic that does not depend on which rows share a block,
+so the same seed gives bit-identical results for any block size and any
 execution order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -42,21 +37,10 @@ from .roc import auc_mann_whitney, empirical_roc  # noqa: F401
 # keeps the working memory of run_mg small whatever M is (13 rows at
 # n_x = n_y = 1000 on the default 512-point grid)
 _BLOCK_SCORES = 2**15
-# replicates of at least this many scores (n_x + n_y) run in shares on worker
-# threads; in smaller ones each replicate's stream set-up, which holds the GIL,
-# outweighs the block arithmetic, which releases it
-_THREAD_SCORES = 1000
 # values per chunk of replicate-matrix columns the bands are reduced over (2 MiB):
 # 65 grid columns at M = 4000, the whole 512-point grid up to M = 512; measured
 # faster than 2**15 at M = 4000 and than 2**19 at M = 1000
 _BAND_VALUES = 2**18
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -121,12 +105,10 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     `mixroc.roc._roc_rows` gives the block's grid TPR,
     trapezoid AUCs and Mann-Whitney AUCs, each row equal to
     :func:`empirical_roc`, :func:`auc_trapezoid` and
-    :func:`auc_mann_whitney` on that replicate. When a replicate holds at
-    least 1000 scores (n_x + n_y), the blocks are split into contiguous
-    shares, one per worker thread, with up to one worker per CPU the
-    process may use; each share runs in a copy of the caller's context, so
-    its `np.errstate` holds there too. Results are stored by index, so they
-    do not depend on the block size or the worker count. The M x grid matrix
+    :func:`auc_mann_whitney` on that replicate. The blocks run one after
+    another on the caller's thread, through four draw buffers allocated
+    once. Results are stored by index, so they do not depend on the block
+    size or on the order the blocks run in. The M x grid matrix
     of replicate curves is returned as `replicate_matrix`. Its standard
     errors and envelope are reduced a chunk of grid columns at a time, each
     chunk's columns sorted as rows for `mixroc.roc._row_quantiles` at numpy's
@@ -147,37 +129,22 @@ def run_mg(f_model: GmmModel, g_model: GmmModel, config: MgConfig) -> MgEnsemble
     aucs = np.empty(m)
     mws = np.empty(m)
 
-    def run_share(first: int, stop: int) -> None:
-        """Replicates [first, stop), block by block, into their rows of the results."""
-        u_x, z_x = np.empty((2, block_rows, n_x))
-        u_y, z_y = np.empty((2, block_rows, n_y))
-        for start in range(first, stop, block_rows):
-            block = slice(start, min(start + block_rows, stop))
-            rows = block.stop - start
-            for i in range(rows):  # in sample_from's order, x before y
-                rng = _stream(config.seed, start + i)
-                rng.random(out=u_x[i])
-                rng.standard_normal(out=z_x[i])
-                rng.random(out=u_y[i])
-                rng.standard_normal(out=z_y[i])
-            x = _mixture_draws(f_model, u_x[:rows], z_x[:rows])
-            y = _mixture_draws(g_model, u_y[:rows], z_y[:rows])
-            x.sort(axis=1)
-            y.sort(axis=1)
-            curves[block], aucs[block], mws[block] = _roc_rows(x, y, t)
-
-    blocks = -(-m // block_rows)
-    workers = min(_cpus(), blocks) if n_x + n_y >= _THREAD_SCORES else 1
-    if workers == 1:
-        run_share(0, m)
-    else:
-        # contiguous shares of whole blocks, so every block is the one the serial path runs;
-        # each share in a copy of the caller's context, which holds its np.errstate
-        bounds = [min(m, block_rows * (blocks * i // workers)) for i in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            for share in [pool.submit(copy_context().run, run_share, first, stop)
-                          for first, stop in zip(bounds, bounds[1:])]:
-                share.result()
+    u_x, z_x = np.empty((2, block_rows, n_x))
+    u_y, z_y = np.empty((2, block_rows, n_y))
+    for start in range(0, m, block_rows):
+        block = slice(start, min(start + block_rows, m))
+        rows = block.stop - start
+        for i in range(rows):  # in sample_from's order, x before y
+            rng = _stream(config.seed, start + i)
+            rng.random(out=u_x[i])
+            rng.standard_normal(out=z_x[i])
+            rng.random(out=u_y[i])
+            rng.standard_normal(out=z_y[i])
+        x = _mixture_draws(f_model, u_x[:rows], z_x[:rows])
+        y = _mixture_draws(g_model, u_y[:rows], z_y[:rows])
+        x.sort(axis=1)
+        y.sort(axis=1)
+        curves[block], aucs[block], mws[block] = _roc_rows(x, y, t)
 
     # the mean makes no full-size temporary; std's deviations and the envelope's sorted
     # copy are taken a chunk of grid columns at a time, so their extra memory is one

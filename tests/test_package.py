@@ -57,6 +57,13 @@ def test_import_leaves_out_scipy_optimize():
     assert run_python(code) == "[]"
 
 
+def test_import_leaves_out_concurrent_futures():
+    # the ensemble runs on the caller's thread, so the package starts no executor
+    code = ("import sys, mixroc, mixroc.cli; "
+            "print([m for m in sys.modules if m.startswith('concurrent')])")
+    assert run_python(code) == "[]"
+
+
 def test_import_leaves_out_scipy_special():
     code = "import sys, mixroc; print([m for m in sys.modules if m.startswith('scipy.special')])"
     assert run_python(code) == "[]"

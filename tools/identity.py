@@ -335,7 +335,7 @@ def _library_cases(group: str, data: str):
         }
         for f_name, g_name, m, n_x, n_y, grid in (
                 ("k3", "k4", 50, 1000, 1000, mixroc.make_uniform_grid(512)),
-                # 47 blocks, in shares on worker threads wherever the process may use 2+ CPUs
+                # 47 blocks of up to 13 replicates, the last one of 2
                 ("k3", "k4", 600, 1000, 1000, mixroc.make_uniform_grid(512)),
                 ("k1", "k5", 400, 150, 150, mixroc.make_refined_grid()),
                 ("k3", "k4", 7, 3, 2, mixroc.make_uniform_grid(512))):
